@@ -102,11 +102,19 @@ func benchDatasetBuild(b *testing.B, recompute bool) {
 // back to per-call maps or per-wake neighbor slices trips it.
 const simulateAllocCeiling = 400_000
 
+// simulateBytesCeiling pins the same run's allocated bytes per op.
+// Packing the crawl view under the declaration mask measures ~15.5
+// MB/op; the per-day CloneView it replaced cost ~73 MB/op, so any
+// per-day O(graph) copy coming back trips it.
+const simulateBytesCeiling = 24 << 20
+
 // BenchmarkSimulate measures the full simulation hot path at quick
-// scale: a three-phase RunTimelines (simulate + crawl view + snapstore
-// pack for every day), the kernel under every sweep scenario and every
-// sanserve -workspace cold mount.  It also asserts the allocation
-// budget: the simulator core must not regress to per-call allocations.
+// scale: a three-phase RunTimelines (simulate, then pack the full SAN
+// and the masked crawl view into in-memory timelines every day), the
+// kernel under every sweep scenario and every sanserve -workspace cold
+// mount.  It also asserts the allocation budgets: the simulator core
+// must not regress to per-call allocations, nor packing to per-day
+// graph copies.
 func BenchmarkSimulate(b *testing.B) {
 	b.ReportAllocs()
 	var m0, m1 runtime.MemStats
@@ -126,15 +134,18 @@ func BenchmarkSimulate(b *testing.B) {
 	if allocs := float64(m1.Mallocs-m0.Mallocs) / float64(b.N); allocs > simulateAllocCeiling {
 		b.Fatalf("BenchmarkSimulate allocates %.0f objects/op (ceiling %d): simulator scratch reuse regressed", allocs, simulateAllocCeiling)
 	}
+	if bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N); bytes > simulateBytesCeiling {
+		b.Fatalf("BenchmarkSimulate allocates %.0f bytes/op (ceiling %d): a per-day graph copy is back", bytes, simulateBytesCeiling)
+	}
 }
 
 // BenchmarkStreamPack measures the streaming pack path at the same
 // quick scale as BenchmarkSimulate: StreamTimelines through a
 // snapstore.StreamWriter to a finalized on-disk timeline, the kernel
 // behind `sangen -stream-out` and every crawl-scale run.  It streams
-// only the full SAN (no view sink), so it runs well under
-// BenchmarkSimulate, which also builds the crawl view each day; the
-// committed baseline pins the cost of spilling every day to disk.
+// only the full SAN (no view sink), where BenchmarkSimulate also packs
+// the crawl view each day; the committed baseline pins the cost of
+// spilling every day to disk.
 func BenchmarkStreamPack(b *testing.B) {
 	dir := b.TempDir()
 	b.ReportAllocs()
@@ -175,11 +186,11 @@ func BenchmarkSimulateParallel(b *testing.B) {
 	}
 }
 
-// benchStreamPackBoth is the full+view streamed pack — the `sangen
-// sweep` / workspace configuration, where per-day post-processing
-// (crawl-view construction + two delta encodes) is heavy enough that
-// overlapping it with simulation pays.
-func benchStreamPackBoth(b *testing.B, pipelined bool) {
+// BenchmarkStreamPackBoth is the full+view streamed pack — the `sangen
+// sweep` / workspace configuration: simulate, then delta-encode the
+// full SAN and the crawl view (the live SAN under the declaration
+// mask, no per-day view copy) into two StreamWriters.
+func BenchmarkStreamPackBoth(b *testing.B) {
 	dir := b.TempDir()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -194,13 +205,7 @@ func benchStreamPackBoth(b *testing.B, pipelined bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim := gplus.New(cfg)
-		if pipelined {
-			err = sim.StreamTimelinesPipelined(1, 0, full, view, nil, nil)
-		} else {
-			err = sim.StreamTimelines(1, 0, full, view, nil)
-		}
-		if err != nil {
+		if err := gplus.New(cfg).StreamTimelines(1, 0, full, view, nil); err != nil {
 			b.Fatal(err)
 		}
 		if err := full.Finalize(); err != nil {
@@ -211,20 +216,6 @@ func benchStreamPackBoth(b *testing.B, pipelined bool) {
 		}
 	}
 }
-
-// BenchmarkStreamPackBoth is the sequential full+view baseline:
-// simulate, build the crawl view, and delta-encode both timelines on
-// one goroutine.
-func BenchmarkStreamPackBoth(b *testing.B) { benchStreamPackBoth(b, false) }
-
-// BenchmarkStreamPackPipelined is BenchmarkStreamPackBoth through
-// StreamTimelinesPipelined: day N+1 simulates while day N's crawl view
-// builds and both timelines encode behind the handoff channels.  The
-// output bytes are identical; the ratio to BenchmarkStreamPackBoth is
-// the pipelining win (ci/benchdiff.sh asserts >= 1.3x when the CI box
-// has >= 4 cores — on one core the extra day-boundary Clone makes it a
-// controlled loss instead).
-func BenchmarkStreamPackPipelined(b *testing.B) { benchStreamPackBoth(b, true) }
 
 // BenchmarkSweep measures the parallel scenario sweep end to end:
 // simulate, pack, and write a two-scenario workspace (the `sangen

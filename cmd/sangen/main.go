@@ -192,8 +192,7 @@ func runGenerate(args []string, w io.Writer) error {
 		stopAfter = fs.Int("stop-after", 0, "with -stream-out: stop after day N, leaving a checkpoint to resume from")
 		progress  = fs.Bool("progress", false, "emit periodic progress (days, links, packed bytes, RSS) to stderr")
 		serveAddr = fs.String("serve", "", "with -stream-out: serve a live NDJSON tail of this run on ADDR (GET /v1/stream/live) while it generates")
-		parallel  = fs.Bool("parallel", false, "gplus: multicore run — per-event rng substreams (RngMode=split) plus pipelined packing; deterministic for a seed but a different sample than the sequential stream")
-		pipeline  = fs.Bool("pipeline", false, "gplus: with -stream-out, overlap packing with simulation (bitwise-identical output)")
+		parallel  = fs.Bool("parallel", false, "gplus: multicore run — per-event rng substreams (RngMode=split) drawn on a worker pool; deterministic for a seed but a different sample than the sequential stream")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof   = fs.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 	)
@@ -206,10 +205,10 @@ func runGenerate(args []string, w io.Writer) error {
 	defer stopProf()
 
 	if *resume != "" {
-		return runResume(*resume, *stopAfter, *progress, *serveAddr, *parallel || *pipeline, *parallel)
+		return runResume(*resume, *stopAfter, *progress, *serveAddr, *parallel)
 	}
-	if *streamOut == "" && (*ckptEvery > 0 || *stopAfter > 0 || *serveAddr != "" || *pipeline) {
-		return fmt.Errorf("-checkpoint-every, -stop-after, -serve and -pipeline require -stream-out")
+	if *streamOut == "" && (*ckptEvery > 0 || *stopAfter > 0 || *serveAddr != "") {
+		return fmt.Errorf("-checkpoint-every, -stop-after and -serve require -stream-out")
 	}
 	if *parallel && *model != "gplus" {
 		return fmt.Errorf("-parallel requires -model gplus (the %s generator has no parallel mode)", *model)
@@ -244,7 +243,7 @@ func runGenerate(args []string, w io.Writer) error {
 			return err
 		}
 		if *streamOut != "" {
-			return runStream(cfg, *streamOut, *observed, *ckptEvery, *stopAfter, *progress, *serveAddr, *parallel || *pipeline)
+			return runStream(cfg, *streamOut, *observed, *ckptEvery, *stopAfter, *progress, *serveAddr)
 		}
 		sim := gplus.New(cfg)
 		sim.Run(nil)

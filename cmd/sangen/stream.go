@@ -63,11 +63,10 @@ type streamRun struct {
 	observed  bool
 	every     int    // checkpoint cadence in days; 0 = never
 	serveAddr string // with -serve: live /v1/stream tail address
-	pipelined bool   // overlap packing with simulation (byte-identical)
 }
 
 // runStream starts a fresh streaming generation.
-func runStream(cfg gplus.Config, out string, observed bool, every, stopAfter int, progress bool, serveAddr string, pipelined bool) error {
+func runStream(cfg gplus.Config, out string, observed bool, every, stopAfter int, progress bool, serveAddr string) error {
 	w, err := snapstore.NewStreamWriter(out)
 	if err != nil {
 		return err
@@ -80,7 +79,6 @@ func runStream(cfg gplus.Config, out string, observed bool, every, stopAfter int
 		observed:  observed,
 		every:     every,
 		serveAddr: serveAddr,
-		pipelined: pipelined,
 	}
 	return r.run(1, stopAfter, progress)
 }
@@ -89,7 +87,7 @@ func runStream(cfg gplus.Config, out string, observed bool, every, stopAfter int
 // directory.  Configuration, output path and cadence all come from the
 // checkpoint; only -stop-after, -progress and -serve apply to the new
 // segment.
-func runResume(dir string, stopAfter int, progress bool, serveAddr string, pipelined, parallel bool) error {
+func runResume(dir string, stopAfter int, progress bool, serveAddr string, parallel bool) error {
 	meta, state, err := openCheckpoint(dir)
 	if err != nil {
 		return err
@@ -107,12 +105,12 @@ func runResume(dir string, stopAfter int, progress bool, serveAddr string, pipel
 		return fmt.Errorf("resume: checkpoint header says day %d, state says day %d", meta.Day, sim.Day())
 	}
 	// The stream encoder resumes against the network the *sink* last
-	// saw: the crawl view for observed streams, the full SAN otherwise.
-	last := sim.G
+	// saw: the full SAN, masked to the crawl view for observed streams.
+	var keep []bool
 	if meta.Observed {
-		last = sim.CrawlView()
+		keep = sim.DeclaredMask()
 	}
-	w, err := snapstore.ResumeStreamWriter(meta.StreamOut, meta.DayLens, last)
+	w, err := snapstore.ResumeStreamWriter(meta.StreamOut, meta.DayLens, sim.G, keep)
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}
@@ -124,7 +122,6 @@ func runResume(dir string, stopAfter int, progress bool, serveAddr string, pipel
 		observed:  meta.Observed,
 		every:     meta.Every,
 		serveAddr: serveAddr,
-		pipelined: pipelined,
 	}
 	return r.run(meta.Day+1, stopAfter, progress)
 }
@@ -174,32 +171,19 @@ func (r *streamRun) run(startDay, stopAfter int, progress bool) error {
 			fullSink = snapstore.Tee(fullSink, live)
 		}
 	}
-	// checkpointDay decides the cadence; persist flushes the spill (the
-	// durability barrier: the spill must hold every checkpointed day
-	// before the state that claims them reaches disk) and writes the
-	// checkpoint.  Both paths — sequential perDay hook and pipelined
-	// barrier — run persist only at checkpointDay days, with all packed
-	// bytes for those days already handed to the writer.
-	checkpointDay := func(day int) bool {
-		return r.every > 0 && day < cfg.Days && (day%r.every == 0 || day == stopDay)
-	}
-	persist := func(day int) error {
+	// At each checkpoint day, flush the spill (the durability barrier:
+	// the spill must hold every checkpointed day before the state that
+	// claims them reaches disk), then write the checkpoint.  The perDay
+	// hook runs after the day's records are handed to the writer.
+	err := r.sim.StreamTimelines(startDay, stopDay, fullSink, viewSink, func(day int, _, _ *san.SAN) error {
+		if r.every <= 0 || day >= cfg.Days || (day%r.every != 0 && day != stopDay) {
+			return nil
+		}
 		if err := r.w.Flush(); err != nil {
 			return err
 		}
 		return r.writeCheckpoint()
-	}
-	var err error
-	if r.pipelined {
-		err = r.sim.StreamTimelinesPipelined(startDay, stopDay, fullSink, viewSink, checkpointDay, persist)
-	} else {
-		err = r.sim.StreamTimelines(startDay, stopDay, fullSink, viewSink, func(day int, _, _ *san.SAN) error {
-			if !checkpointDay(day) {
-				return nil
-			}
-			return persist(day)
-		})
-	}
+	})
 	if err != nil {
 		return err
 	}

@@ -6,59 +6,76 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/gplus"
+	"repro/internal/snapstore"
 )
 
 // TestStreamKillResumeBitwiseIdentical is the CLI acceptance path for
 // checkpoint/resume: a run interrupted at day 30 (the deterministic
 // stand-in for a kill) and resumed from its checkpoint directory must
-// finalize to a file bitwise-identical to an uninterrupted run.
+// finalize to a file bitwise-identical to an uninterrupted run — for
+// the full SAN and for the -observed crawl view, whose resumed encoder
+// is seeded from the declaration mask.
 func TestStreamKillResumeBitwiseIdentical(t *testing.T) {
-	dir := t.TempDir()
-	ref := filepath.Join(dir, "ref.tl")
-	got := filepath.Join(dir, "got.tl")
-	var buf bytes.Buffer
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"full", nil},
+		{"observed", []string{"-observed"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ref := filepath.Join(dir, "ref.tl")
+			got := filepath.Join(dir, "got.tl")
+			var buf bytes.Buffer
 
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
-	if err := runGenerate(append(base, "-stream-out", ref), &buf); err != nil {
-		t.Fatalf("uninterrupted stream: %v", err)
-	}
-	err := runGenerate(append(base, "-stream-out", got, "-checkpoint-every", "10", "-stop-after", "30"), &buf)
-	if err != nil {
-		t.Fatalf("interrupted stream: %v", err)
-	}
-	if _, err := os.Stat(got); !os.IsNotExist(err) {
-		t.Fatalf("interrupted run published a final file (stat err: %v)", err)
-	}
-	ckptDir := got + ".ckpt"
-	if _, err := os.Stat(filepath.Join(ckptDir, ckptFile)); err != nil {
-		t.Fatalf("interrupted run left no checkpoint: %v", err)
-	}
+			base := append([]string{"-model", "gplus", "-scale", "3", "-seed", "7"}, tc.extra...)
+			if err := runGenerate(append(base, "-stream-out", ref), &buf); err != nil {
+				t.Fatalf("uninterrupted stream: %v", err)
+			}
+			err := runGenerate(append(base, "-stream-out", got, "-checkpoint-every", "10", "-stop-after", "30"), &buf)
+			if err != nil {
+				t.Fatalf("interrupted stream: %v", err)
+			}
+			if _, err := os.Stat(got); !os.IsNotExist(err) {
+				t.Fatalf("interrupted run published a final file (stat err: %v)", err)
+			}
+			ckptDir := got + ".ckpt"
+			if _, err := os.Stat(filepath.Join(ckptDir, ckptFile)); err != nil {
+				t.Fatalf("interrupted run left no checkpoint: %v", err)
+			}
 
-	if err := runGenerate([]string{"-resume", ckptDir}, &buf); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := os.ReadFile(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(have, want) {
-		t.Fatalf("resumed run differs from uninterrupted run (%d vs %d bytes)", len(have), len(want))
-	}
-	// A finished run cleans up after itself: no checkpoint, no spill.
-	if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
-		t.Errorf("checkpoint directory survived a finished run (stat err: %v)", err)
-	}
-	if _, err := os.Stat(got + ".spill"); !os.IsNotExist(err) {
-		t.Errorf("spill file survived a finished run (stat err: %v)", err)
+			if err := runGenerate([]string{"-resume", ckptDir}, &buf); err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			want, err := os.ReadFile(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, err := os.ReadFile(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(have, want) {
+				t.Fatalf("resumed run differs from uninterrupted run (%d vs %d bytes)", len(have), len(want))
+			}
+			// A finished run cleans up after itself: no checkpoint, no spill.
+			if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
+				t.Errorf("checkpoint directory survived a finished run (stat err: %v)", err)
+			}
+			if _, err := os.Stat(got + ".spill"); !os.IsNotExist(err) {
+				t.Errorf("spill file survived a finished run (stat err: %v)", err)
+			}
+		})
 	}
 }
 
 // TestStreamObservedMatchesCrawlView checks the -observed stream packs
-// the crawl view, not the full SAN: it must be smaller (22% declare).
+// the crawl view, not the full SAN: its final day must reconstruct to
+// the snapshot bytes of the simulator's CrawlView, and the file must
+// be smaller than the full stream (22% declare).
 func TestStreamObservedMatchesCrawlView(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.tl")
@@ -71,6 +88,27 @@ func TestStreamObservedMatchesCrawlView(t *testing.T) {
 	if err := runGenerate(append(base, "-observed", "-stream-out", view), &buf); err != nil {
 		t.Fatal(err)
 	}
+
+	tl, err := snapstore.LoadFile(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tl.ReconstructAt(tl.NumDays() - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := gplus.DefaultConfig()
+	cfg.DailyBase = 3
+	cfg.Seed = 7
+	sim := gplus.New(cfg)
+	sim.Run(nil)
+	if tl.NumDays() != cfg.Days {
+		t.Fatalf("observed stream has %d days, want %d", tl.NumDays(), cfg.Days)
+	}
+	if !bytes.Equal(snapstore.EncodeSnapshot(got), snapstore.EncodeSnapshot(sim.CrawlView())) {
+		t.Errorf("observed stream's final day differs from the simulator's crawl view")
+	}
+
 	fi, err := os.Stat(full)
 	if err != nil {
 		t.Fatal(err)
@@ -168,45 +206,14 @@ func TestStreamParallelKillResumeBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamPipelineMatchesSequentialFile pins the CLI form of the
-// layer-1 oracle: -pipeline changes scheduling, never bytes.
-func TestStreamPipelineMatchesSequentialFile(t *testing.T) {
-	dir := t.TempDir()
-	seq := filepath.Join(dir, "seq.tl")
-	pip := filepath.Join(dir, "pip.tl")
-	var buf bytes.Buffer
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
-	if err := runGenerate(append(base, "-stream-out", seq), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := runGenerate(append(base, "-pipeline", "-stream-out", pip), &buf); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := os.ReadFile(pip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(have, want) {
-		t.Fatalf("-pipeline stream differs from sequential stream (%d vs %d bytes)", len(have), len(want))
-	}
-}
-
 // TestParallelFlagValidation covers the multicore flag interlocks: the
-// modes only exist on the gplus generator, -pipeline needs a stream,
-// and a sequential checkpoint cannot be resumed with -parallel.
+// mode only exists on the gplus generator, and a sequential checkpoint
+// cannot be resumed with -parallel.
 func TestParallelFlagValidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runGenerate([]string{"-model", "san", "-n", "50", "-parallel"}, &buf); err == nil ||
 		!strings.Contains(err.Error(), "gplus") {
 		t.Errorf("-parallel with -model san: got %v", err)
-	}
-	if err := runGenerate([]string{"-model", "gplus", "-pipeline"}, &buf); err == nil ||
-		!strings.Contains(err.Error(), "stream-out") {
-		t.Errorf("-pipeline without -stream-out: got %v", err)
 	}
 
 	// A sequential checkpoint resumed with -parallel must fail loudly

@@ -319,12 +319,12 @@ func buildSimDataset(ds *Dataset, ctx context.Context) error {
 	// days simulated so far, so the resume continues from Day()+1.
 	if ds.full == nil {
 		sim := ds.sim
-		err := sim.StreamTimelines(sim.Day()+1, 0, ds.simFull, ds.simView, func(day int, _, view *san.SAN) error {
+		err := sim.StreamTimelines(sim.Day()+1, 0, ds.simFull, ds.simView, func(day int, _, _ *san.SAN) error {
 			if day == 49 {
-				ds.halfView = view
+				ds.halfView = sim.CrawlView()
 			}
 			if day == sim.Cfg.Days {
-				ds.finalView = view
+				ds.finalView = sim.CrawlView()
 			}
 			return ctx.Err()
 		})

@@ -30,6 +30,7 @@ package gplus
 import (
 	"container/heap"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -804,7 +805,15 @@ func (s *Simulator) Declared(u san.NodeID) bool { return s.declared[u] }
 // for the users who declared their profiles (AttrProb ≈ 22%).  The
 // whole view is one bulk filtered copy (CloneView preserves adjacency
 // order, so it is indistinguishable from the historical edge-by-edge
-// rebuild).
+// rebuild).  Packing the view does not need it: StreamTimelines packs
+// the live SAN under the declaration flags (DeclaredMask) instead.
 func (s *Simulator) CrawlView() *san.SAN {
 	return s.G.CloneView(s.declared)
+}
+
+// DeclaredMask returns a copy of the per-user declaration flags: the
+// snapstore attribute mask under which the live SAN packs as the crawl
+// view.  Resumed view streams seed their encoder with it.
+func (s *Simulator) DeclaredMask() []bool {
+	return slices.Clone(s.declared)
 }

@@ -10,21 +10,25 @@ import (
 // StreamTimelines simulates days startDay..stopDay (stopDay <= 0 means
 // the configured horizon) and packs each day's end state into the given
 // sinks: full receives the hidden-attribute SAN, view the crawl view
-// (declared attribute links only).  Either sink may be nil; the crawl
-// view is only materialized when something consumes it, so a full-only
-// stream never pays the per-day clone.  Streaming sinks
+// (declared attribute links only).  Either sink may be nil.  The view
+// is never materialized: a user's declaration is fixed at arrival, so
+// the view's record is the full SAN's record with the undeclared
+// users' attribute links masked out, which the view sink packs
+// straight from the live SAN (snapstore.MaskedSink.AppendMasked); a
+// view sink that is not a MaskedSink is an error.  Streaming sinks
 // (snapstore.StreamWriter) bound resident memory by the live SAN plus
 // one day's record — the whole-timeline residency of the in-memory
 // Builder path is what capped runs below crawl scale.
 //
 // perDay (optional) observes each day after its records are packed; v
-// is nil when no view sink is set.  A non-nil perDay error — or any
-// sink error — stops the run at that day boundary and is returned:
-// the simulator is left in checkpoint-clean state (Day() reports the
-// last completed day) so the caller can persist, resume from Day()+1,
-// or abandon it.  Checkpoint hooks use the error path to abort a run
-// whose state can no longer be persisted; cancelable dataset builds
-// use it to stop simulating promptly on context cancellation.
+// is always nil (a hook that needs the crawl view calls CrawlView on
+// the days it needs it).  A non-nil perDay error — or any sink error —
+// stops the run at that day boundary and is returned: the simulator is
+// left in checkpoint-clean state (Day() reports the last completed
+// day) so the caller can persist, resume from Day()+1, or abandon it.
+// Checkpoint hooks use the error path to abort a run whose state can
+// no longer be persisted; cancelable dataset builds use it to stop
+// simulating promptly on context cancellation.
 //
 // The simulation's evolution is append-only (nodes and links are only
 // ever added), which is what lets every day after the first pack as a
@@ -35,6 +39,13 @@ func (s *Simulator) StreamTimelines(startDay, stopDay int, full, view snapstore.
 	}
 	if startDay < 1 {
 		startDay = 1
+	}
+	var masked snapstore.MaskedSink
+	if view != nil {
+		var ok bool
+		if masked, ok = view.(snapstore.MaskedSink); !ok {
+			return fmt.Errorf("gplus: view sink %T cannot pack a masked crawl view (no AppendMasked)", view)
+		}
 	}
 	sinks := 0
 	if full != nil {
@@ -49,18 +60,14 @@ func (s *Simulator) StreamTimelines(startDay, stopDay int, full, view snapstore.
 		packedBytes = sinkBytes(full, view)
 	}
 	s.runRange(startDay, stopDay, func(day int, g *san.SAN) bool {
-		var v *san.SAN
-		if view != nil {
-			v = s.CrawlView()
-		}
 		if full != nil {
 			if err := full.Append(g); err != nil {
 				runErr = fmt.Errorf("gplus: packing day %d: %w", day, err)
 				return false
 			}
 		}
-		if view != nil {
-			if err := view.Append(v); err != nil {
+		if masked != nil {
+			if err := masked.AppendMasked(g, s.declared); err != nil {
 				runErr = fmt.Errorf("gplus: packing day %d view: %w", day, err)
 				return false
 			}
@@ -72,7 +79,7 @@ func (s *Simulator) StreamTimelines(startDay, stopDay int, full, view snapstore.
 			packedBytes = now
 		}
 		if perDay != nil {
-			if err := perDay(day, g, v); err != nil {
+			if err := perDay(day, g, nil); err != nil {
 				runErr = err
 				return false
 			}
@@ -99,15 +106,16 @@ func sinkBytes(full, view snapstore.DaySink) int {
 // in lockstep: the full hidden-attribute SAN and the crawl view
 // (declared attribute links only), both indexed so timeline day d-1 is
 // simulated day d.  perDay (optional) observes each day's full SAN and
-// crawl view as they are packed; the views passed to it are fresh and
-// may be retained.  Crawl-scale runs stream through StreamTimelines
-// instead of materializing both timelines.
+// crawl view as they are packed; the view is a fresh CrawlView clone,
+// built only when perDay is set, and may be retained.  Crawl-scale
+// runs stream through StreamTimelines instead of materializing both
+// timelines.
 func (s *Simulator) RunTimelines(perDay func(day int, full, view *san.SAN)) (full, view *snapstore.Timeline, err error) {
 	fb, vb := snapstore.NewBuilder(), snapstore.NewBuilder()
-	var hook func(day int, g, v *san.SAN) error
+	var hook func(day int, g, _ *san.SAN) error
 	if perDay != nil {
-		hook = func(day int, g, v *san.SAN) error {
-			perDay(day, g, v)
+		hook = func(day int, g, _ *san.SAN) error {
+			perDay(day, g, s.CrawlView())
 			return nil
 		}
 	}

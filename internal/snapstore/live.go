@@ -30,10 +30,7 @@ type Live struct {
 	wake chan struct{}
 }
 
-var (
-	_ DaySink   = (*Live)(nil)
-	_ DaySource = (*Live)(nil)
-)
+var _ DaySource = (*Live)(nil)
 
 // NewLive returns an empty live timeline.
 func NewLive() *Live {
@@ -41,13 +38,17 @@ func NewLive() *Live {
 }
 
 // Append packs g as the next day and wakes every blocked reader.
-func (l *Live) Append(g *san.SAN) error {
+func (l *Live) Append(g *san.SAN) error { return l.AppendMasked(g, nil) }
+
+// AppendMasked is Append of g with the attribute links of the nodes
+// outside keep hidden (see MaskedSink).
+func (l *Live) AppendMasked(g *san.SAN, keep []bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.finished {
 		return fmt.Errorf("snapstore: append to a finished live timeline")
 	}
-	rec, err := l.enc.encode(g)
+	rec, err := l.enc.encode(g, keep)
 	if err != nil {
 		return err
 	}

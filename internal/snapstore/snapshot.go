@@ -25,7 +25,11 @@ const (
 // the in-adjacency and attribute membership lists are derived on
 // decode.  Neighbor lists are written in canonical sorted order, so
 // the format round-trips everything except adjacency ordering.
-func EncodeSnapshot(g *san.SAN) []byte {
+func EncodeSnapshot(g *san.SAN) []byte { return encodeSnapshot(g, nil) }
+
+// encodeSnapshot is EncodeSnapshot of g with the attribute links of
+// every node outside keep written as empty lists (see kept).
+func encodeSnapshot(g *san.SAN, keep []bool) []byte {
 	buf := make([]byte, 0, 16+g.NumSocialEdges()*2+g.NumAttrEdges()*2)
 	buf = append(buf, tagSnapshot)
 	buf = binary.AppendUvarint(buf, uint64(g.NumSocial()))
@@ -39,7 +43,11 @@ func EncodeSnapshot(g *san.SAN) []byte {
 		buf = appendIDList(buf, g.OutSorted(san.NodeID(u)))
 	}
 	for u := 0; u < g.NumSocial(); u++ {
-		buf = appendIDList(buf, g.AttrsSorted(san.NodeID(u)))
+		var attrs []san.AttrID
+		if kept(keep, u) {
+			attrs = g.AttrsSorted(san.NodeID(u))
+		}
+		buf = appendIDList(buf, attrs)
 	}
 	return buf
 }

@@ -79,3 +79,11 @@ func equalIDs[T id](a, b []T) bool {
 	}
 	return reflect.DeepEqual(a, b)
 }
+
+// LiveTimeline returns the days appended to l so far as a Timeline, so
+// external tests can compare a Live's records byte for byte.
+func LiveTimeline(l *Live) *Timeline {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return &Timeline{days: l.days[:len(l.days):len(l.days)]}
+}

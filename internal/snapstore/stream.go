@@ -25,12 +25,32 @@ type DaySink interface {
 	PackedBytes() int
 }
 
+// MaskedSink is a DaySink that can also pack a masked view of a SAN:
+// AppendMasked(g, keep) packs exactly the bytes Append would pack for
+// a copy of g with the attribute links of every node outside keep
+// removed (social structure, node counts and the attribute catalogue
+// unchanged).  keep[u] selects node u; nodes at or past len(keep) are
+// masked; a nil keep masks nothing, so Append(g) is
+// AppendMasked(g, nil).  The masked set of a node must not change once
+// the node has been packed, which is what lets a day's view pack as a
+// delta against the previous day's.
+//
+// The simulator's crawl view is such a mask (declaration is fixed at
+// arrival), so view timelines pack straight from the live SAN with no
+// per-day copy.  Builder, StreamWriter, Live and Tee implement it.
+type MaskedSink interface {
+	DaySink
+	AppendMasked(g *san.SAN, keep []bool) error
+}
+
 // Tee returns a DaySink that forwards every Append to each of the
 // given sinks in order, stopping at the first error.  PackedBytes
 // reports the first sink's running total (each sink encodes the same
 // days, so the totals agree; counting one avoids double-billing
 // progress bytes).  A sangen -stream-out run tees its disk sink into a
 // Live so a mounted server can tail the evolution as it is produced.
+// The returned sink is a MaskedSink; its AppendMasked fails if any
+// teed sink is not one.
 func Tee(sinks ...DaySink) DaySink { return teeSink(sinks) }
 
 type teeSink []DaySink
@@ -44,6 +64,19 @@ func (t teeSink) Append(g *san.SAN) error {
 	return nil
 }
 
+func (t teeSink) AppendMasked(g *san.SAN, keep []bool) error {
+	for _, s := range t {
+		m, ok := s.(MaskedSink)
+		if !ok {
+			return fmt.Errorf("snapstore: teed sink %T cannot pack a masked day", s)
+		}
+		if err := m.AppendMasked(g, keep); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (t teeSink) PackedBytes() int {
 	if len(t) == 0 {
 		return 0
@@ -51,10 +84,25 @@ func (t teeSink) PackedBytes() int {
 	return t[0].PackedBytes()
 }
 
+var (
+	_ MaskedSink = (*Builder)(nil)
+	_ MaskedSink = (*StreamWriter)(nil)
+	_ MaskedSink = (*Live)(nil)
+	_ MaskedSink = teeSink(nil)
+)
+
+// kept reports whether node u's attribute links survive the mask keep
+// (nil keeps every node; nodes past the end of keep are masked).
+func kept(keep []bool, u int) bool {
+	return keep == nil || (u < len(keep) && keep[u])
+}
+
 // dayEncoder turns a sequence of append-only SAN states into timeline
-// day records: the first Append encodes a full snapshot, every later
-// one a forward delta against the per-node link counts retained from
-// the previous day.  Builder and StreamWriter share it.
+// day records: the first day encodes a full snapshot, every later one
+// a forward delta against the per-node link counts retained from the
+// previous day.  Every record applies the caller's attribute mask (see
+// MaskedSink), and the retained counts are those of the masked SAN.
+// Builder, StreamWriter and Live share it.
 type dayEncoder struct {
 	numDays   int
 	numSocial int
@@ -63,34 +111,38 @@ type dayEncoder struct {
 	attrDeg   []int32
 }
 
-// encode packs g as the next day record and advances the retained
-// counts.
-func (e *dayEncoder) encode(g *san.SAN) ([]byte, error) {
+// encode packs g, masked by keep, as the next day record and advances
+// the retained counts.
+func (e *dayEncoder) encode(g *san.SAN, keep []bool) ([]byte, error) {
 	var rec []byte
 	if e.numDays == 0 {
-		rec = EncodeSnapshot(g)
+		rec = encodeSnapshot(g, keep)
 	} else {
 		var err error
-		rec, err = encodeDelta(g, e.numSocial, e.numAttrs, e.outDeg, e.attrDeg)
+		rec, err = encodeDelta(g, e.numSocial, e.numAttrs, e.outDeg, e.attrDeg, keep)
 		if err != nil {
 			return nil, fmt.Errorf("snapstore: day %d: %w", e.numDays, err)
 		}
 	}
-	e.observe(g, e.numDays+1)
+	e.observe(g, keep, e.numDays+1)
 	return rec, nil
 }
 
-// observe points the encoder's retained state at g as of day numDays
-// (the day count *including* g's day).  Resume paths use it directly to
-// seed a fresh encoder from a restored SAN without encoding anything.
-func (e *dayEncoder) observe(g *san.SAN, numDays int) {
+// observe points the encoder's retained state at g, masked by keep, as
+// of day numDays (the day count *including* g's day).  Resume paths
+// use it directly to seed a fresh encoder from a restored SAN without
+// encoding anything.
+func (e *dayEncoder) observe(g *san.SAN, keep []bool, numDays int) {
 	e.numDays = numDays
 	e.numSocial, e.numAttrs = g.NumSocial(), g.NumAttrs()
 	e.outDeg = resizeTo(e.outDeg, e.numSocial)
 	e.attrDeg = resizeTo(e.attrDeg, e.numSocial)
 	for u := 0; u < e.numSocial; u++ {
 		e.outDeg[u] = int32(g.OutDegree(san.NodeID(u)))
-		e.attrDeg[u] = int32(g.AttrDegree(san.NodeID(u)))
+		e.attrDeg[u] = 0
+		if kept(keep, u) {
+			e.attrDeg[u] = int32(g.AttrDegree(san.NodeID(u)))
+		}
 	}
 }
 
@@ -134,9 +186,10 @@ func NewStreamWriter(path string) (*StreamWriter, error) {
 // day boundary: lens are the recorded per-day record sizes (the spill
 // is truncated to their sum, discarding any days written after the
 // checkpoint was taken), and last is the restored SAN as of the last
-// recorded day, which re-seeds the delta encoder.  The next Append
-// continues with day len(lens).
-func ResumeStreamWriter(path string, lens []int, last *san.SAN) (*StreamWriter, error) {
+// recorded day, which re-seeds the delta encoder under the mask keep
+// the stream was packed with (nil for an unmasked stream; see
+// MaskedSink).  The next Append continues with day len(lens).
+func ResumeStreamWriter(path string, lens []int, last *san.SAN, keep []bool) (*StreamWriter, error) {
 	if len(lens) == 0 {
 		return nil, fmt.Errorf("snapstore: resume needs at least the day-0 record")
 	}
@@ -171,17 +224,21 @@ func ResumeStreamWriter(path string, lens []int, last *san.SAN) (*StreamWriter, 
 		lens:      append([]int(nil), lens...),
 		packed:    int(total),
 	}
-	w.enc.observe(last, len(lens))
+	w.enc.observe(last, keep, len(lens))
 	return w, nil
 }
 
 // Append encodes g as the next day and writes the record to the spill
 // file.
-func (w *StreamWriter) Append(g *san.SAN) error {
+func (w *StreamWriter) Append(g *san.SAN) error { return w.AppendMasked(g, nil) }
+
+// AppendMasked is Append of g with the attribute links of the nodes
+// outside keep hidden (see MaskedSink).
+func (w *StreamWriter) AppendMasked(g *san.SAN, keep []bool) error {
 	if w.closed {
 		return fmt.Errorf("snapstore: appending to a finalized stream")
 	}
-	rec, err := w.enc.encode(g)
+	rec, err := w.enc.encode(g, keep)
 	if err != nil {
 		return err
 	}

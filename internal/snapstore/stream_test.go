@@ -164,7 +164,7 @@ func TestStreamWriterResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := ResumeStreamWriter(path, lens, days[ckptDay])
+	r, err := ResumeStreamWriter(path, lens, days[ckptDay], nil)
 	if err != nil {
 		t.Fatalf("ResumeStreamWriter: %v", err)
 	}
@@ -204,10 +204,10 @@ func TestStreamWriterResumeErrors(t *testing.T) {
 	days := growingDays(3, 2)
 	path := filepath.Join(t.TempDir(), "tl.bin")
 
-	if _, err := ResumeStreamWriter(path, nil, days[0]); err == nil {
+	if _, err := ResumeStreamWriter(path, nil, days[0], nil); err == nil {
 		t.Error("resume with no recorded days should fail")
 	}
-	if _, err := ResumeStreamWriter(path, []int{10}, days[0]); err == nil {
+	if _, err := ResumeStreamWriter(path, []int{10}, days[0], nil); err == nil {
 		t.Error("resume without a spill file should fail")
 	}
 	w, err := NewStreamWriter(path)
@@ -222,7 +222,7 @@ func TestStreamWriterResumeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := []int{w.PackedBytes() + 1}
-	if _, err := ResumeStreamWriter(path, short, days[0]); err == nil {
+	if _, err := ResumeStreamWriter(path, short, days[0], nil); err == nil {
 		t.Error("resume with a spill shorter than the checkpoint should fail")
 	}
 }

@@ -173,8 +173,12 @@ func NewBuilder() *Builder { return &Builder{} }
 // attribute nodes, social edges and attribute links may appear, and
 // each adjacency list must extend the previous day's (which holds for
 // any evolution recorded through san.SAN's append-only mutators).
-func (b *Builder) Append(g *san.SAN) error {
-	rec, err := b.enc.encode(g)
+func (b *Builder) Append(g *san.SAN) error { return b.AppendMasked(g, nil) }
+
+// AppendMasked is Append of g with the attribute links of the nodes
+// outside keep hidden (see MaskedSink).
+func (b *Builder) AppendMasked(g *san.SAN, keep []bool) error {
+	rec, err := b.enc.encode(g, keep)
 	if err != nil {
 		return err
 	}
