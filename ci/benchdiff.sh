@@ -37,7 +37,9 @@ SANSERVE_BENCHES='^(BenchmarkCachedFigureRequest|BenchmarkCachedCompareRequest|B
 # so the committed baseline documents the fold's speedup ratio and a
 # regression in either path trips the gate.  SimulateParallel is the
 # split-RNG simulator; StreamPackBoth is the full+view stream.
-ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkSimulate|BenchmarkSimulateParallel|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
+# DegreeFitting is the paper's model selection (lognormal fit,
+# power-law xmin scan, Vuong test), the bulk of Figures 5, 16 and 18.
+ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkDegreeFitting|BenchmarkSimulate|BenchmarkSimulateParallel|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT

@@ -192,18 +192,11 @@ func (at *Attacher) SampleWith(scr *Scratch, g *san.SAN, u san.NodeID, rng *rand
 	return at.sampleWith(&scr.sample, g, u, rng, true)
 }
 
-// SampleNaive is the retained reference sampler: it consumes exactly
-// the same uniform draws as Sample but resolves each draw with a naive
-// linear cumulative scan instead of the Fenwick descent or the prefix
-// binary search.  The stream-equivalence tests pin Sample against it;
-// it is not on any hot path.
-func (at *Attacher) SampleNaive(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sampleWith(at.scratch(), g, u, rng, false)
-}
-
-// sampleWith implements Sample, SampleWith and SampleNaive: identical
-// control flow and rng-draw discipline, with fast selecting the
-// O(log n) resolvers and scr holding the mixture sampler's buffers.
+// sampleWith implements Sample, SampleWith and the tests' naive
+// reference sampler: identical control flow and rng-draw discipline,
+// with fast selecting the O(log n) resolvers (false resolves each draw
+// by a linear cumulative scan) and scr holding the mixture sampler's
+// buffers.
 func (at *Attacher) sampleWith(scr *sampleScratch, g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool) san.NodeID {
 	n := g.NumSocial()
 	if n < 2 {

@@ -8,6 +8,14 @@ import (
 	"repro/internal/san"
 )
 
+// SampleNaive is the reference sampler: it consumes exactly the same
+// uniform draws as Sample but resolves each draw with a naive linear
+// cumulative scan instead of the Fenwick descent or the prefix binary
+// search.  The stream-equivalence tests pin Sample against it.
+func (at *Attacher) SampleNaive(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
+	return at.sampleWith(at.scratch(), g, u, rng, false)
+}
+
 // buildAttachGraph generates a SAN with social and attribute structure
 // for the sampler equivalence and property tests.
 func buildAttachGraph(tb testing.TB) *san.SAN {

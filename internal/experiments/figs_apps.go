@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/anon"
 	"repro/internal/core"
@@ -25,8 +26,13 @@ func Fig19(d *Dataset) Figure {
 		p.FocalWeight = focal
 		return core.Generate(p)
 	}
-	mFC := build(0.1)
-	mNo := build(0)
+	// The two builds are independent, each seeded from the config.
+	var mFC, mNo *san.SAN
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); mFC = build(0.1) }()
+	go func() { defer wg.Done(); mNo = build(0) }()
+	wg.Wait()
 	zh := getModels(d.Cfg).zhel
 
 	// Compromise 0.5%..4% of nodes (the paper compromises 20k-200k of

@@ -53,23 +53,30 @@ func getModels(cfg Config) *modelSANs {
 	if m, ok := modelCache[cfg]; ok {
 		return m
 	}
-	m := &modelSANs{}
 	p := core.NewDefaultParams(cfg.ModelT)
 	p.Seed = cfg.Seed
-	m.ours = core.Generate(p)
 
 	pa := p
 	pa.Attachment = core.AttachPA
-	m.noLAPA = core.Generate(pa)
 
 	nf := p
 	nf.Closing = core.CloseRR
 	nf.FocalWeight = 0
-	m.noFocal = core.Generate(nf)
 
 	zp := zhel.NewDefaultParams(cfg.ModelT)
 	zp.Seed = cfg.Seed
-	m.zhel = zhel.Generate(zp)
+
+	// The four generators share nothing (each owns its rng and
+	// scratch), so they run concurrently; each result is a pure
+	// function of its parameters.
+	m := &modelSANs{}
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() { defer wg.Done(); m.ours = core.Generate(p) }()
+	go func() { defer wg.Done(); m.noLAPA = core.Generate(pa) }()
+	go func() { defer wg.Done(); m.noFocal = core.Generate(nf) }()
+	go func() { defer wg.Done(); m.zhel = zhel.Generate(zp) }()
+	wg.Wait()
 	modelCache[cfg] = m
 	return m
 }

@@ -101,20 +101,15 @@ type PMFPoint struct {
 func PMF(data []int) []PMFPoint {
 	counts := countValues(data, 1)
 	n := 0
-	for _, c := range counts {
-		n += c
+	for _, vc := range counts {
+		n += vc.n
 	}
 	if n == 0 {
 		return nil
 	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]PMFPoint, len(keys))
-	for i, k := range keys {
-		out[i] = PMFPoint{K: k, P: float64(counts[k]) / float64(n)}
+	out := make([]PMFPoint, len(counts))
+	for i, vc := range counts {
+		out[i] = PMFPoint{K: vc.k, P: float64(vc.n) / float64(n)}
 	}
 	return out
 }
@@ -130,22 +125,17 @@ type CCDFPoint struct {
 func CCDF(data []int) []CCDFPoint {
 	counts := countValues(data, 1)
 	n := 0
-	for _, c := range counts {
-		n += c
+	for _, vc := range counts {
+		n += vc.n
 	}
 	if n == 0 {
 		return nil
 	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]CCDFPoint, len(keys))
+	out := make([]CCDFPoint, len(counts))
 	remaining := n
-	for i, k := range keys {
-		out[i] = CCDFPoint{K: k, P: float64(remaining) / float64(n)}
-		remaining -= counts[k]
+	for i, vc := range counts {
+		out[i] = CCDFPoint{K: vc.k, P: float64(remaining) / float64(n)}
+		remaining -= vc.n
 	}
 	return out
 }

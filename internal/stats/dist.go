@@ -233,18 +233,29 @@ func lognormalZ(mu, sigma float64) float64 {
 // LognormalLogPMF returns ln p(k) of the discrete lognormal with the
 // given parameters, for k >= 1.
 func LognormalLogPMF(k int, mu, sigma float64) float64 {
+	return lognormalLogPMFZ(k, mu, sigma, math.Log(lognormalZ(mu, sigma)))
+}
+
+// lognormalLogPMFZ is LognormalLogPMF given logZ = ln Z(μ,σ), for
+// callers that evaluate many k under one (μ, σ).
+func lognormalLogPMFZ(k int, mu, sigma, logZ float64) float64 {
 	if k < 1 {
 		return math.Inf(-1)
 	}
 	d := math.Log(float64(k)) - mu
-	return -d*d/(2*sigma*sigma) - math.Log(float64(k)) - math.Log(lognormalZ(mu, sigma))
+	return -d*d/(2*sigma*sigma) - math.Log(float64(k)) - logZ
 }
 
 // PowerLawLogPMF returns ln p(k) of the discrete power law
 // p(k) = k^{-α} / ζ(α, xmin) for k >= xmin.
 func PowerLawLogPMF(k int, alpha float64, xmin int) float64 {
+	return powerLawLogPMFZ(k, alpha, xmin, math.Log(HurwitzZeta(alpha, float64(xmin))))
+}
+
+// powerLawLogPMFZ is PowerLawLogPMF given logZ = ln ζ(α, xmin).
+func powerLawLogPMFZ(k int, alpha float64, xmin int, logZ float64) float64 {
 	if k < xmin {
 		return math.Inf(-1)
 	}
-	return -alpha*math.Log(float64(k)) - math.Log(HurwitzZeta(alpha, float64(xmin)))
+	return -alpha*math.Log(float64(k)) - logZ
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -83,14 +84,16 @@ func FitDiscreteLognormal(data []int) LognormalFit {
 	return fit
 }
 
-func lognormalLogLik(counts map[int]int, mu, sigma float64) float64 {
+// lognormalLogLik sums the discrete-lognormal log-likelihood over the
+// counted sample in ascending k, so a fit repeats bit for bit.
+func lognormalLogLik(counts []valueCount, mu, sigma float64) float64 {
 	logZ := math.Log(lognormalZ(mu, sigma))
 	twoSig2 := 2 * sigma * sigma
 	ll := 0.0
-	for k, c := range counts {
-		lk := math.Log(float64(k))
+	for _, vc := range counts {
+		lk := math.Log(float64(vc.k))
 		d := lk - mu
-		ll += float64(c) * (-d*d/twoSig2 - lk - logZ)
+		ll += float64(vc.n) * (-d*d/twoSig2 - lk - logZ)
 	}
 	return ll
 }
@@ -173,14 +176,14 @@ func fitPowerLawAt(sorted []int, xmin int) PowerLawFit {
 	// multiplicity — the canonical order shared with FitPowerLawHist so
 	// histogram-folded fits are bitwise-identical to batch fits.
 	sumLogK := 0.0
-	counts := make(map[int]int)
+	var counts []valueCount
 	for j := 0; j < n; {
 		l := j
 		for l < n && tail[l] == tail[j] {
 			l++
 		}
 		sumLogK += float64(l-j) * math.Log(float64(tail[j]))
-		counts[tail[j]] = l - j
+		counts = append(counts, valueCount{tail[j], l - j})
 		j = l
 	}
 	return fitPowerLawTail(n, sumLogK, counts, xmin)
@@ -202,14 +205,14 @@ func FitPowerLawHist(hist []int, xmin int) PowerLawFit {
 	}
 	n := 0
 	sumLogK := 0.0
-	counts := make(map[int]int)
+	var counts []valueCount
 	for k := xmin; k < len(hist); k++ {
 		if hist[k] == 0 {
 			continue
 		}
 		n += hist[k]
 		sumLogK += float64(hist[k]) * math.Log(float64(k))
-		counts[k] = hist[k]
+		counts = append(counts, valueCount{k, hist[k]})
 	}
 	fit := fitPowerLawTail(n, sumLogK, counts, xmin)
 	fit.N = total
@@ -218,8 +221,8 @@ func FitPowerLawHist(hist []int, xmin int) PowerLawFit {
 
 // fitPowerLawTail runs the fixed-xmin discrete MLE given the tail's
 // sufficient statistics: the tail size n, Σ ln k over the tail, and
-// the tail's value counts (for the KS distance).
-func fitPowerLawTail(n int, sumLogK float64, counts map[int]int, xmin int) PowerLawFit {
+// the tail's ascending value counts (for the KS distance).
+func fitPowerLawTail(n int, sumLogK float64, counts []valueCount, xmin int) PowerLawFit {
 	if n == 0 {
 		return PowerLawFit{Alpha: math.NaN(), Xmin: xmin, KS: math.Inf(1)}
 	}
@@ -266,6 +269,11 @@ func fitPowerLawTail(n int, sumLogK float64, counts map[int]int, xmin int) Power
 // p-value is the two-sided normal tail probability: small p means the
 // sign of R is significant.
 func CompareLognormalPowerLaw(data []int, ln LognormalFit, pl PowerLawFit) (r, p float64) {
+	// μ, σ, α and xmin are fixed for the whole test, so each model's
+	// normalizer is computed once rather than once per observation.
+	lnLogZ := math.Log(lognormalZ(ln.Mu, ln.Sigma))
+	plLogZ := math.Log(HurwitzZeta(pl.Alpha, float64(pl.Xmin)))
+
 	// Condition both models on the common support k >= xmin so the
 	// comparison is fair: the lognormal log-PMF is renormalized by its
 	// tail mass P(K >= xmin), computed from the discrete PMF itself
@@ -275,7 +283,7 @@ func CompareLognormalPowerLaw(data []int, ln LognormalFit, pl PowerLawFit) (r, p
 	if pl.Xmin > 1 {
 		head := 0.0
 		for k := 1; k < pl.Xmin; k++ {
-			head += math.Exp(LognormalLogPMF(k, ln.Mu, ln.Sigma))
+			head += math.Exp(lognormalLogPMFZ(k, ln.Mu, ln.Sigma, lnLogZ))
 		}
 		if head >= 1 {
 			return math.Inf(-1), 0 // lognormal puts no mass on the tail
@@ -287,7 +295,7 @@ func CompareLognormalPowerLaw(data []int, ln LognormalFit, pl PowerLawFit) (r, p
 		if k < pl.Xmin {
 			continue
 		}
-		d := (LognormalLogPMF(k, ln.Mu, ln.Sigma) - lnTail) - PowerLawLogPMF(k, pl.Alpha, pl.Xmin)
+		d := (lognormalLogPMFZ(k, ln.Mu, ln.Sigma, lnLogZ) - lnTail) - powerLawLogPMFZ(k, pl.Alpha, pl.Xmin, plLogZ)
 		diffs = append(diffs, d)
 	}
 	n := len(diffs)
@@ -335,14 +343,28 @@ func SelectModel(data []int) BestFit {
 	return BestFit{Lognormal: ln, PowerLaw: pl, R: r, P: p, Winner: winner}
 }
 
-func countValues(data []int, min int) map[int]int {
-	m := make(map[int]int)
+// valueCount is one distinct sample value and its multiplicity.
+type valueCount struct{ k, n int }
+
+// countValues returns the distinct values >= min in data with their
+// multiplicities, in ascending value order.
+func countValues(data []int, min int) []valueCount {
+	sorted := make([]int, 0, len(data))
 	for _, k := range data {
 		if k >= min {
-			m[k]++
+			sorted = append(sorted, k)
 		}
 	}
-	return m
+	slices.Sort(sorted)
+	var counts []valueCount
+	for i, k := range sorted {
+		if i > 0 && k == sorted[i-1] {
+			counts[len(counts)-1].n++
+		} else {
+			counts = append(counts, valueCount{k, 1})
+		}
+	}
+	return counts
 }
 
 func uniqueSorted(sorted []int) []int {
@@ -356,25 +378,21 @@ func uniqueSorted(sorted []int) []int {
 }
 
 // ksDistance computes the KS statistic between the empirical CDF of
-// the counted sample (n observations total) and the model CDF.
-func ksDistance(counts map[int]int, n int, cdf func(int) float64) float64 {
+// the counted sample (ascending counts, n observations total) and the
+// model CDF.
+func ksDistance(counts []valueCount, n int, cdf func(int) float64) float64 {
 	if n == 0 {
 		return math.Inf(1)
 	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	// For discrete distributions the KS statistic is the maximum over
 	// support points of |ECDF(k) - CDF(k)|; there is no "just below"
 	// comparison as in the continuous case.
 	cum := 0
 	maxD := 0.0
-	for _, k := range keys {
-		cum += counts[k]
+	for _, vc := range counts {
+		cum += vc.n
 		ecdf := float64(cum) / float64(n)
-		if d := math.Abs(ecdf - cdf(k)); d > maxD {
+		if d := math.Abs(ecdf - cdf(vc.k)); d > maxD {
 			maxD = d
 		}
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -117,7 +118,7 @@ func TestFitPowerLawFixedXmin(t *testing.T) {
 }
 
 func TestKSDistanceBounds(t *testing.T) {
-	counts := map[int]int{1: 5, 2: 3, 3: 2}
+	counts := []valueCount{{1, 5}, {2, 3}, {3, 2}}
 	// Perfect model CDF gives KS ~ 0.
 	d := ksDistance(counts, 10, func(k int) float64 {
 		switch {
@@ -137,5 +138,40 @@ func TestKSDistanceBounds(t *testing.T) {
 	d = ksDistance(counts, 10, func(int) float64 { return 0 })
 	if d < 0.99 {
 		t.Errorf("KS for null CDF = %v, want ~1", d)
+	}
+}
+
+// TestFitDiscreteLognormalDeterministic pins that a lognormal fit is a
+// pure function of its input: repeated fits, and fits run concurrently,
+// agree bit for bit in every field.  (Summing the log-likelihood in map
+// iteration order once made LogLik, and through the refinement μ and
+// σ, vary from call to call.)
+func TestFitDiscreteLognormalDeterministic(t *testing.T) {
+	data := lognormalSample(rand.New(rand.NewPCG(41, 42)), 1.8, 1.2, 30000)
+	bits := func(f LognormalFit) [4]uint64 {
+		return [4]uint64{math.Float64bits(f.Mu), math.Float64bits(f.Sigma),
+			math.Float64bits(f.LogLik), math.Float64bits(f.KS)}
+	}
+	want := bits(FitDiscreteLognormal(data))
+	for i := 0; i < 10; i++ {
+		if got := bits(FitDiscreteLognormal(data)); got != want {
+			t.Fatalf("repeat %d: fit bits %x, first fit %x", i, got, want)
+		}
+	}
+	const workers = 4
+	got := make([][4]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = bits(FitDiscreteLognormal(data))
+		}()
+	}
+	wg.Wait()
+	for w, g := range got {
+		if g != want {
+			t.Errorf("concurrent fit %d: bits %x, sequential %x", w, g, want)
+		}
 	}
 }
