@@ -39,7 +39,9 @@ SANSERVE_BENCHES='^(BenchmarkCachedFigureRequest|BenchmarkCachedCompareRequest|B
 # split-RNG simulator; StreamPackBoth is the full+view stream.
 # DegreeFitting is the paper's model selection (lognormal fit,
 # power-law xmin scan, Vuong test), the bulk of Figures 5, 16 and 18.
-ROOT_BENCHES='^(BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkDegreeFitting|BenchmarkSimulate|BenchmarkSimulateParallel|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
+# ClusteringSampled (Algorithm 2) and HyperANF are the two per-day
+# estimators that dominate the fold, each gated on its own.
+ROOT_BENCHES='^(BenchmarkClusteringSampled|BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkDegreeFitting|BenchmarkHyperANF|BenchmarkSimulate|BenchmarkSimulateParallel|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT

@@ -44,7 +44,8 @@ type Config struct {
 	HLLBits   uint8 // HyperANF precision
 	// Workers sizes the snapstore MapN pool (and its snapshot caches)
 	// on the Recompute path; 0 means GOMAXPROCS.  The default fold
-	// build is a single sequential walk and does not use it.
+	// build walks the days in order and does not use it; its per-day
+	// estimators fan out to GOMAXPROCS goroutines on their own.
 	Workers int
 
 	// Recompute forces the pre-fold measurement path: every day is
@@ -537,12 +538,33 @@ func measureDay(cfg Config, day int, full, view *san.SAN) DayMetrics {
 // measureDaySampled computes the per-day metrics shared by the fold
 // and recompute paths: O(1) counter reads plus the paper's sampled and
 // edge-sweep estimators, which run against the day's graph with a
-// per-day rng.  The rng consumption order (social clustering, then
-// attribute clustering, then the attribute diameter) is part of the
-// determinism contract between the two paths.  nc, when non-nil,
-// serves the social clustering estimator cached neighbor lists; the
-// estimate is identical either way.
+// per-day rng.  nc, when non-nil, serves the social clustering
+// estimator cached neighbor lists; the estimate is identical either
+// way.
+//
+// The estimators fan out to GOMAXPROCS goroutines, and the record is
+// bitwise-identical for any GOMAXPROCS.  That is the determinism
+// contract between the fold and recompute paths:
+//
+//   - rng draws stay sequential, in a fixed order: social clustering,
+//     then attribute clustering, then the attribute diameter;
+//   - the assortativity coefficients, which draw nothing, run on their
+//     own goroutine alongside that chain and are joined before return;
+//   - Algorithm 2 draws all its samples before probing them, and the
+//     parallel probes are summed as integers;
+//   - HyperANF merges counters by register max, which no schedule can
+//     reorder, and sums node estimates sequentially in node order.  Its
+//     skip rule is exact: a counter that did not change last iteration
+//     was already merged into every in-neighbor's counter then.
 func measureDaySampled(cfg Config, day int, full, view *san.SAN, nc *metrics.NeighborCache) DayMetrics {
+	var assort, attrAssort float64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		assort = metrics.SocialAssortativity(full)
+		attrAssort = metrics.AttrAssortativity(view)
+	}()
 	rng := rand.New(rand.NewPCG(cfg.Seed^uint64(day)*0x9b05688c2b3e6c1f, uint64(day)))
 	ccSamples := metrics.SampleSize(0.01, 100) // ε=0.01, ν=100 per day
 	m := DayMetrics{
@@ -550,8 +572,6 @@ func measureDaySampled(cfg Config, day int, full, view *san.SAN, nc *metrics.Nei
 		Recip:         full.Reciprocity(),
 		SocialDensity: full.SocialDensity(),
 		AttrDensity:   view.AttrDensity(),
-		Assort:        metrics.SocialAssortativity(full),
-		AttrAssort:    metrics.AttrAssortativity(view),
 		CC:            socialCC(full, ccSamples, rng, nc),
 		AttrCC:        metrics.AverageAttrClustering(view, ccSamples, rng),
 		DiamSocial:    math.NaN(),
@@ -563,6 +583,8 @@ func measureDaySampled(cfg Config, day int, full, view *san.SAN, nc *metrics.Nei
 		m.DiamSocial = nf.EffectiveDiameter(0.9)
 		m.DiamAttr = attrDiameter(view, rng)
 	}
+	wg.Wait()
+	m.Assort, m.AttrAssort = assort, attrAssort
 	return m
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,6 +65,26 @@ func TestFoldMatchesRecompute(t *testing.T) {
 		if err := sameDayMetrics(recDays[i], foldDays[i]); err != nil {
 			t.Fatalf("day %d: fold diverges from recompute: %v", i+1, err)
 		}
+	}
+}
+
+// TestFoldIndependentOfGOMAXPROCS pins the per-day determinism
+// contract of measureDaySampled: the estimators fan out to GOMAXPROCS
+// goroutines, and every DayMetrics field must come out the same for
+// any fan-out, including none.
+func TestFoldIndependentOfGOMAXPROCS(t *testing.T) {
+	cfg := goldenConfig()
+	ds := GetDataset(cfg)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			days := NewTimelineDataset(cfg, ds.FullTimeline(), ds.ViewTimeline()).Days()
+			for i, m := range days {
+				if err := sameDayMetrics(m, ds.Days()[i]); err != nil {
+					t.Fatalf("day %d: %v", i+1, err)
+				}
+			}
+		})
 	}
 }
 

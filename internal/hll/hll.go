@@ -11,7 +11,7 @@ import (
 )
 
 // Counter is a HyperLogLog register set.  The zero value is not usable;
-// create counters with NewCounter or a Pool.
+// create counters with NewCounter.
 type Counter struct {
 	p    uint8 // log2(number of registers)
 	regs []uint8
@@ -62,13 +62,19 @@ func (c *Counter) Add(hash uint64) {
 // The merge runs eight registers per step (SWAR bytewise max): ranks
 // are at most 64-p+1 < 0x80, so adding the per-byte sentinel 0x80 to
 // x-y can never borrow across byte lanes, making the high bit of each
-// lane an x >= y comparator.  HyperANF spends nearly all of its time
-// here — one union per directed edge per iteration.
+// lane an x >= y comparator.  HyperANF spends most of its time here —
+// one union per directed edge into a counter that changed in the
+// previous iteration.
 func (c *Counter) Union(other *Counter) bool {
+	return unionRegs(c.regs, other.regs)
+}
+
+// unionRegs is Union over raw register slices of equal length; HyperANF
+// calls it on windows of its flat register arena.
+func unionRegs(a, b []uint8) bool {
 	const high = 0x8080808080808080
 	const low = 0x0101010101010101
 	changed := false
-	a, b := c.regs, other.regs
 	for i := 0; i < len(a); i += 8 {
 		x := binary.LittleEndian.Uint64(a[i:])
 		y := binary.LittleEndian.Uint64(b[i:])
@@ -83,11 +89,6 @@ func (c *Counter) Union(other *Counter) bool {
 		}
 	}
 	return changed
-}
-
-// Assign copies other's registers into c.
-func (c *Counter) Assign(other *Counter) {
-	copy(c.regs, other.regs)
 }
 
 // Clone returns an independent copy.
@@ -113,16 +114,21 @@ var pow2neg = func() [64]float64 {
 // small-range (linear counting) and large-range corrections of
 // Flajolet et al.
 func (c *Counter) Estimate() float64 {
-	m := float64(int(1) << c.p)
+	return estimate(c.p, c.regs)
+}
+
+// estimate is Estimate over a raw register slice of 2^p registers.
+func estimate(p uint8, regs []uint8) float64 {
+	m := float64(int(1) << p)
 	var sum float64
 	zeros := 0
-	for _, r := range c.regs {
+	for _, r := range regs {
 		sum += pow2neg[r]
 		if r == 0 {
 			zeros++
 		}
 	}
-	alpha := alphaM(int(1) << c.p)
+	alpha := alphaM(int(1) << p)
 	e := alpha * m * m / sum
 	if e <= 2.5*m && zeros > 0 {
 		// Linear counting for small cardinalities.

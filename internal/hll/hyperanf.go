@@ -1,7 +1,11 @@
 package hll
 
 import (
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/san"
 )
@@ -24,20 +28,47 @@ type Options struct {
 // graph of g: counter(u) starts as {u} and each iteration unions in the
 // counters of u's out-neighbors, so after t rounds counter(u)
 // approximates the t-ball around u.  Iteration stops when no counter
-// changes (exact convergence of the register sets).
+// changes (exact convergence of the register sets).  Precision outside
+// [4, 16] panics, as NewCounter does.
+//
+// Two things keep the run cheap without changing a bit of its output:
+//
+//   - Skip rule.  Iteration t unions cur[v] into next[u] only if v's
+//     counter changed in iteration t-1 (every counter counts as changed
+//     before iteration 0).  An unchanged cur[v] equals the previous
+//     round's counter of v, which was already merged into cur[u], so the
+//     union could not move a register.  For the same reason a node whose
+//     own counter did not change already holds cur[u] in the next
+//     buffer and needs no copy, and its cached estimate stays valid.
+//   - Parallel sweep.  Each iteration's node range is split into chunks
+//     that GOMAXPROCS goroutines claim from an atomic counter.  A node u
+//     writes only next[u], its own changed bit and its own estimate, so
+//     the sweep is race-free; register max does not depend on order, and
+//     N[t] is summed sequentially in node order.
 func HyperANF(g *san.SAN, opt Options) NeighborhoodFunction {
 	p := opt.Precision
 	if p == 0 {
 		p = 8
 	}
-	n := g.NumSocial()
-	cur := make([]*Counter, n)
-	next := make([]*Counter, n)
-	for i := 0; i < n; i++ {
-		cur[i] = NewCounter(p)
-		cur[i].Add(Hash(uint64(i), opt.Seed))
-		next[i] = NewCounter(p)
+	if p < 4 || p > 16 {
+		panic("hll: precision must be in [4, 16]")
 	}
+	n := g.NumSocial()
+	m := 1 << p
+	// One flat arena per buffer: node u's registers are [u*m, (u+1)*m).
+	cur := make([]uint8, n*m)
+	next := make([]uint8, n*m)
+	est := make([]float64, n)
+	prevChanged := make([]bool, n) // changed in the previous iteration
+	changed := make([]bool, n)     // changed in this iteration
+	sweep(n, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			c := Counter{p: p, regs: cur[u*m : (u+1)*m]}
+			c.Add(Hash(uint64(u), opt.Seed))
+			est[u] = estimate(p, c.regs)
+			prevChanged[u] = true
+		}
+	})
 	maxIter := opt.MaxIter
 	if maxIter <= 0 {
 		maxIter = 32
@@ -45,30 +76,74 @@ func HyperANF(g *san.SAN, opt Options) NeighborhoodFunction {
 			maxIter += 3
 		}
 	}
-	nf := NeighborhoodFunction{N: []float64{sumEstimates(cur)}}
+	nf := NeighborhoodFunction{N: []float64{sumInOrder(est)}}
 	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for u := 0; u < n; u++ {
-			next[u].Assign(cur[u])
-			for _, v := range g.Out(san.NodeID(u)) {
-				if next[u].Union(cur[v]) {
-					changed = true
+		sweep(n, func(lo, hi int) {
+			for u := lo; u < hi; u++ {
+				nu := next[u*m : (u+1)*m]
+				if prevChanged[u] {
+					copy(nu, cur[u*m:(u+1)*m])
 				}
+				ch := false
+				for _, v := range g.Out(san.NodeID(u)) {
+					if prevChanged[v] && unionRegs(nu, cur[int(v)*m:(int(v)+1)*m]) {
+						ch = true
+					}
+				}
+				if ch {
+					est[u] = estimate(p, nu)
+				}
+				changed[u] = ch
 			}
-		}
+		})
 		cur, next = next, cur
-		nf.N = append(nf.N, sumEstimates(cur))
-		if !changed {
+		prevChanged, changed = changed, prevChanged
+		nf.N = append(nf.N, sumInOrder(est))
+		if !slices.Contains(prevChanged, true) {
 			break
 		}
 	}
 	return nf
 }
 
-func sumEstimates(cs []*Counter) float64 {
+// sweepChunk is the number of nodes a sweep goroutine claims at a time:
+// small enough to balance hub-heavy ranges, large enough that the
+// atomic claim is noise.
+const sweepChunk = 256
+
+// sweep calls body over [0, n) in chunks claimed by GOMAXPROCS
+// goroutines and returns when every chunk is done.  Bodies must only
+// write state owned by the nodes of their own chunk.
+func sweep(n int, body func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), (n+sweepChunk-1)/sweepChunk)
+	if workers <= 1 {
+		body(0, n)
+		return
+	}
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(claimed.Add(sweepChunk)) - sweepChunk
+				if lo >= n {
+					return
+				}
+				body(lo, min(lo+sweepChunk, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sumInOrder adds xs left to right; N[t] must be summed in node order
+// to stay bitwise reproducible.
+func sumInOrder(xs []float64) float64 {
 	var s float64
-	for _, c := range cs {
-		s += c.Estimate()
+	for _, x := range xs {
+		s += x
 	}
 	return s
 }

@@ -268,14 +268,7 @@ func (c *NeighborCache) Restore(state any) {
 // AverageSocialClustering (identical rng consumption) and returns the
 // identical estimate, paying O(1) per sample for neighbor lists.
 func (c *NeighborCache) AverageSocialClustering(g *san.SAN, k int, rng *rand.Rand) float64 {
-	n := g.NumSocial()
-	if n == 0 || k <= 0 {
-		return 0
-	}
-	total := 0
-	for i := 0; i < k; i++ {
-		u := san.NodeID(rng.IntN(n))
-		total += sampleTriple(g, c.Neighbors(g, u), rng)
-	}
-	return float64(total) / float64(2*k)
+	return algorithm2(g, k, g.NumSocial(), rng, func(u int) []san.NodeID {
+		return c.Neighbors(g, san.NodeID(u))
+	})
 }

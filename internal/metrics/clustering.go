@@ -8,7 +8,9 @@ package metrics
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/san"
 )
@@ -103,54 +105,97 @@ func AverageSocialClusteringExact(g *san.SAN) float64 {
 // triple samples, each scoring F ∈ {0,1,2} for the connectivity of a
 // random neighbor pair of a random node, and C̃ = ΣF / (2K).
 func AverageSocialClustering(g *san.SAN, k int, rng *rand.Rand) float64 {
-	n := g.NumSocial()
-	if n == 0 || k <= 0 {
-		return 0
-	}
-	total := 0
-	for i := 0; i < k; i++ {
-		u := san.NodeID(rng.IntN(n))
-		total += sampleTriple(g, g.SocialNeighbors(u), rng)
-	}
-	return float64(total) / float64(2*k)
+	var buf []san.NodeID
+	return algorithm2(g, k, g.NumSocial(), rng, func(u int) []san.NodeID {
+		buf = g.AppendSocialNeighbors(buf[:0], san.NodeID(u))
+		return buf
+	})
 }
 
 // AverageAttrClustering estimates Ca = (1/|Va|) Σ c(a) with
 // Algorithm 2 over Ω = Va.
 func AverageAttrClustering(g *san.SAN, k int, rng *rand.Rand) float64 {
-	m := g.NumAttrs()
-	if m == 0 || k <= 0 {
-		return 0
-	}
-	total := 0
-	for i := 0; i < k; i++ {
-		a := san.AttrID(rng.IntN(m))
-		total += sampleTriple(g, g.Members(a), rng)
-	}
-	return float64(total) / float64(2*k)
+	return algorithm2(g, k, g.NumAttrs(), rng, func(a int) []san.NodeID {
+		return g.Members(san.AttrID(a))
+	})
 }
 
-// sampleTriple draws a uniform pair of distinct neighbors and returns
-// F ∈ {0, 1, 2}: the number of directed links between them.  Centers
-// with fewer than two neighbors score 0 (they have no triples and
-// contribute c = 0 to the average).
-func sampleTriple(g *san.SAN, nbrs []san.NodeID, rng *rand.Rand) int {
-	d := len(nbrs)
-	if d < 2 {
+// neighborPair is one drawn Algorithm 2 sample: an ordered pair of
+// distinct neighbors of the sampled center.
+type neighborPair struct{ v, w san.NodeID }
+
+// algorithm2 is the estimator all three Algorithm 2 entry points share.
+// It draws k uniform centers among [0, centers), reading each one's
+// neighbor list through nbrs, and for every center with at least two
+// neighbors a uniform pair of distinct neighbors.  Centers with fewer
+// than two neighbors consume no further draws and score F = 0 (they
+// have no triples and contribute c = 0 to the average).
+//
+// All draws happen first, sequentially, so the rng stream is the
+// estimator's alone to define; nbrs may reuse its returned slice
+// between calls.  Only then are the HasSocialEdge probes evaluated, in
+// parallel (linkedPairs), and C̃ = ΣF / (2k).
+func algorithm2(g *san.SAN, k, centers int, rng *rand.Rand, nbrs func(c int) []san.NodeID) float64 {
+	if centers == 0 || k <= 0 {
 		return 0
 	}
-	i := rng.IntN(d)
-	j := rng.IntN(d - 1)
-	if j >= i {
-		j++
+	pairs := make([]neighborPair, 0, k)
+	for s := 0; s < k; s++ {
+		ns := nbrs(rng.IntN(centers))
+		d := len(ns)
+		if d < 2 {
+			continue
+		}
+		i := rng.IntN(d)
+		j := rng.IntN(d - 1)
+		if j >= i {
+			j++
+		}
+		pairs = append(pairs, neighborPair{ns[i], ns[j]})
 	}
-	v, w := nbrs[i], nbrs[j]
+	return float64(linkedPairs(g, pairs)) / float64(2*k)
+}
+
+// minProbeChunk is the fewest pairs worth a goroutine of their own.
+const minProbeChunk = 2048
+
+// linkedPairs returns ΣF over pairs: the number of directed social
+// links between the two nodes of each pair.  The probes are pure reads
+// of g, so up to GOMAXPROCS goroutines each count one contiguous chunk;
+// the chunk counts are integers, so their sum does not depend on the
+// split.
+func linkedPairs(g *san.SAN, pairs []neighborPair) int {
+	workers := min(runtime.GOMAXPROCS(0), len(pairs)/minProbeChunk)
+	if workers <= 1 {
+		return countLinks(g, pairs)
+	}
+	counts := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := range counts {
+		chunk := pairs[w*len(pairs)/workers : (w+1)*len(pairs)/workers]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[w] = countLinks(g, chunk)
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	return total
+}
+
+func countLinks(g *san.SAN, pairs []neighborPair) int {
 	f := 0
-	if g.HasSocialEdge(v, w) {
-		f++
-	}
-	if g.HasSocialEdge(w, v) {
-		f++
+	for _, p := range pairs {
+		if g.HasSocialEdge(p.v, p.w) {
+			f++
+		}
+		if g.HasSocialEdge(p.w, p.v) {
+			f++
+		}
 	}
 	return f
 }
