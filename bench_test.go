@@ -166,26 +166,6 @@ func BenchmarkStreamPack(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateParallel is BenchmarkSimulate under the split rng
-// discipline (RngMode=split): per-event substreams drawn on the worker
-// pool, mutations applied in canonical order.  The ratio to
-// BenchmarkSimulate is the multicore speedup of the day-phase
-// scheduler; on one core it pins the overhead of batching and
-// substream reseeding instead (ci/benchdiff.sh asserts the multi-core
-// ratio only when cores are actually available).
-func BenchmarkSimulateParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := gplus.DefaultConfig()
-		cfg.DailyBase = 100
-		cfg.Seed = uint64(i + 1)
-		cfg.RngMode = gplus.RngSplit
-		if _, _, err := gplus.New(cfg).RunTimelines(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStreamPackBoth is the full+view streamed pack — the `sangen
 // sweep` / workspace configuration: simulate, then delta-encode the
 // full SAN and the crawl view (the live SAN under the declaration

@@ -35,13 +35,13 @@ SANSERVE_BENCHES='^(BenchmarkCachedFigureRequest|BenchmarkCachedCompareRequest|B
 # on-disk timeline, the `sangen -stream-out` kernel; BenchmarkSweep:
 # the parallel scenario sweep).  The recompute twin is benchmarked too
 # so the committed baseline documents the fold's speedup ratio and a
-# regression in either path trips the gate.  SimulateParallel is the
-# split-RNG simulator; StreamPackBoth is the full+view stream.
+# regression in either path trips the gate.  StreamPackBoth is the
+# full+view stream.
 # DegreeFitting is the paper's model selection (lognormal fit,
 # power-law xmin scan, Vuong test), the bulk of Figures 5, 16 and 18.
 # ClusteringSampled (Algorithm 2) and HyperANF are the two per-day
 # estimators that dominate the fold, each gated on its own.
-ROOT_BENCHES='^(BenchmarkClusteringSampled|BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkDegreeFitting|BenchmarkHyperANF|BenchmarkSimulate|BenchmarkSimulateParallel|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
+ROOT_BENCHES='^(BenchmarkClusteringSampled|BenchmarkDatasetBuild|BenchmarkDatasetBuildRecompute|BenchmarkDegreeFitting|BenchmarkHyperANF|BenchmarkSimulate|BenchmarkStreamPack|BenchmarkStreamPackBoth|BenchmarkSweep)$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT

@@ -20,5 +20,6 @@ run ./internal/san FuzzSANText
 run ./internal/snapstore FuzzDecodeSnapshot
 run ./internal/snapstore FuzzDecodeTimeline
 run ./internal/scenario FuzzManifest
+run ./internal/gplus FuzzReadSimulator
 
 echo "fuzzsmoke: OK"

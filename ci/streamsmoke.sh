@@ -1,34 +1,25 @@
 #!/bin/sh
 # streamsmoke: the bounded-RSS streaming smoke at CI scale.
 #
-# Runs the slow-tagged crawl-scale acceptance tests in cmd/sangen with
-# the scale knobs dialed down so they finish in CI minutes instead of
-# hours:
-#
-#   - TestStreamCrawlScaleBoundedRSS: a streamed `sangen -stream-out`
-#     run, an interrupted twin resumed from its checkpoint (must be
-#     bitwise-identical), and a peak-RSS budget that a
-#     full-timeline-in-memory regression would blow through.
-#   - TestStreamParallelCrawlScaleBoundedRSS: a `sangen -parallel`
-#     streamed run twice over — byte-level run-to-run reproducibility
-#     of the split rng discipline at scale, under the same kind of RSS
-#     budget.
+# Runs the slow-tagged crawl-scale acceptance test in cmd/sangen,
+# TestStreamCrawlScaleBoundedRSS, with the scale knobs dialed down so it
+# finishes in CI minutes instead of hours: a streamed
+# `sangen -stream-out` run, an interrupted twin resumed from its
+# checkpoint (must be bitwise-identical), and a peak-RSS budget that a
+# full-timeline-in-memory regression would blow through.
 #
 #   sh ci/streamsmoke.sh
 #
-# The full-scale runs (DailyBase 150000 -> ~5.1M users sequential,
-# 310000 -> ~10.5M users parallel) are the same tests with the env
-# knobs left unset:
+# The full-scale run (DailyBase 150000 -> ~5.1M users) is the same test
+# with the env knobs left unset:
 #
-#   go test -tags slow -run 'TestStream.*CrawlScaleBoundedRSS' -timeout 12h ./cmd/sangen
+#   go test -tags slow -run TestStreamCrawlScaleBoundedRSS -timeout 12h ./cmd/sangen
 set -eu
 
 : "${SAN_STREAM_DAILY:=4000}"
 : "${SAN_STREAM_RSS_MB:=2048}"
-: "${SAN_STREAM_PAR_DAILY:=4000}"
-: "${SAN_STREAM_PAR_RSS_MB:=2048}"
-export SAN_STREAM_DAILY SAN_STREAM_RSS_MB SAN_STREAM_PAR_DAILY SAN_STREAM_PAR_RSS_MB
+export SAN_STREAM_DAILY SAN_STREAM_RSS_MB
 
-echo "streamsmoke: sequential DailyBase $SAN_STREAM_DAILY (budget ${SAN_STREAM_RSS_MB} MiB), parallel DailyBase $SAN_STREAM_PAR_DAILY (budget ${SAN_STREAM_PAR_RSS_MB} MiB)"
-go test -tags slow -run 'TestStreamCrawlScaleBoundedRSS$|TestStreamParallelCrawlScaleBoundedRSS$' -count=1 -v -timeout 30m ./cmd/sangen
+echo "streamsmoke: DailyBase $SAN_STREAM_DAILY (budget ${SAN_STREAM_RSS_MB} MiB)"
+go test -tags slow -run 'TestStreamCrawlScaleBoundedRSS$' -count=1 -v -timeout 30m ./cmd/sangen
 echo "streamsmoke: OK"

@@ -192,7 +192,6 @@ func runGenerate(args []string, w io.Writer) error {
 		stopAfter = fs.Int("stop-after", 0, "with -stream-out: stop after day N, leaving a checkpoint to resume from")
 		progress  = fs.Bool("progress", false, "emit periodic progress (days, links, packed bytes, RSS) to stderr")
 		serveAddr = fs.String("serve", "", "with -stream-out: serve a live NDJSON tail of this run on ADDR (GET /v1/stream/live) while it generates")
-		parallel  = fs.Bool("parallel", false, "gplus: multicore run — per-event rng substreams (RngMode=split) drawn on a worker pool; deterministic for a seed but a different sample than the sequential stream")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof   = fs.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 	)
@@ -205,13 +204,10 @@ func runGenerate(args []string, w io.Writer) error {
 	defer stopProf()
 
 	if *resume != "" {
-		return runResume(*resume, *stopAfter, *progress, *serveAddr, *parallel)
+		return runResume(*resume, *stopAfter, *progress, *serveAddr)
 	}
 	if *streamOut == "" && (*ckptEvery > 0 || *stopAfter > 0 || *serveAddr != "") {
 		return fmt.Errorf("-checkpoint-every, -stop-after and -serve require -stream-out")
-	}
-	if *parallel && *model != "gplus" {
-		return fmt.Errorf("-parallel requires -model gplus (the %s generator has no parallel mode)", *model)
 	}
 
 	var g *san.SAN
@@ -235,9 +231,6 @@ func runGenerate(args []string, w io.Writer) error {
 		cfg.Seed = *seed
 		if *days > 0 {
 			cfg.Days = *days
-		}
-		if *parallel {
-			cfg.RngMode = gplus.RngSplit
 		}
 		if err := cfg.Validate(); err != nil {
 			return err

@@ -87,14 +87,10 @@ func runStream(cfg gplus.Config, out string, observed bool, every, stopAfter int
 // directory.  Configuration, output path and cadence all come from the
 // checkpoint; only -stop-after, -progress and -serve apply to the new
 // segment.
-func runResume(dir string, stopAfter int, progress bool, serveAddr string, parallel bool) error {
+func runResume(dir string, stopAfter int, progress bool, serveAddr string) error {
 	meta, state, err := openCheckpoint(dir)
 	if err != nil {
 		return err
-	}
-	if parallel && meta.Config.RngMode != gplus.RngSplit {
-		state.Close()
-		return fmt.Errorf("resume: -parallel on a sequential checkpoint (the rng mode comes from the checkpoint; this one was written with RngMode=%q)", meta.Config.RngMode)
 	}
 	sim, err := gplus.ReadSimulator(meta.Config, state, gplus.NewScratch())
 	state.Close()

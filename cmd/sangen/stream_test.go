@@ -170,65 +170,6 @@ func TestGenerateOutputErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestStreamParallelKillResumeBitwiseIdentical is the same CLI
-// acceptance path for the multicore mode: a -parallel run interrupted
-// mid-stream and resumed must finalize bitwise-identical to an
-// uninterrupted -parallel run (the checkpoint carries the rng mode, so
-// resume re-enters the split discipline automatically).
-func TestStreamParallelKillResumeBitwiseIdentical(t *testing.T) {
-	dir := t.TempDir()
-	ref := filepath.Join(dir, "ref.tl")
-	got := filepath.Join(dir, "got.tl")
-	var buf bytes.Buffer
-
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7", "-parallel"}
-	if err := runGenerate(append(base, "-stream-out", ref), &buf); err != nil {
-		t.Fatalf("uninterrupted parallel stream: %v", err)
-	}
-	err := runGenerate(append(base, "-stream-out", got, "-checkpoint-every", "10", "-stop-after", "30"), &buf)
-	if err != nil {
-		t.Fatalf("interrupted parallel stream: %v", err)
-	}
-	ckptDir := got + ".ckpt"
-	if err := runGenerate([]string{"-resume", ckptDir, "-parallel"}, &buf); err != nil {
-		t.Fatalf("parallel resume: %v", err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := os.ReadFile(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(have, want) {
-		t.Fatalf("resumed parallel run differs from uninterrupted run (%d vs %d bytes)", len(have), len(want))
-	}
-}
-
-// TestParallelFlagValidation covers the multicore flag interlocks: the
-// mode only exists on the gplus generator, and a sequential checkpoint
-// cannot be resumed with -parallel.
-func TestParallelFlagValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runGenerate([]string{"-model", "san", "-n", "50", "-parallel"}, &buf); err == nil ||
-		!strings.Contains(err.Error(), "gplus") {
-		t.Errorf("-parallel with -model san: got %v", err)
-	}
-
-	// A sequential checkpoint resumed with -parallel must fail loudly
-	// rather than silently switch rng disciplines mid-run.
-	dir := t.TempDir()
-	out := filepath.Join(dir, "seq.tl")
-	base := []string{"-model", "gplus", "-scale", "3", "-seed", "7"}
-	if err := runGenerate(append(base, "-stream-out", out, "-checkpoint-every", "10", "-stop-after", "20"), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := runGenerate([]string{"-resume", out + ".ckpt", "-parallel"}, &buf); err == nil {
-		t.Error("-parallel resume of a sequential checkpoint must fail")
-	}
-}
-
 // TestProfileFlagsWriteFiles pins the -cpuprofile/-memprofile plumbing:
 // a tiny run must leave non-empty pprof files behind.
 func TestProfileFlagsWriteFiles(t *testing.T) {

@@ -180,22 +180,10 @@ func (at *Attacher) Sample(g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID 
 	return at.sampleWith(at.scratch(), g, u, rng, true)
 }
 
-// SampleWith is Sample with a caller-supplied scratch arena and rng.
-// Unlike Sample it never touches the attacher's own scratch, so any
-// number of SampleWith calls may run concurrently — each with its own
-// Scratch and rng — as long as the network and the attacher's incremental
-// state are not mutated underneath them (the same frozen-graph condition
-// SampleBatch's commuting contract rests on).  The draw is a pure
-// function of (network, attacher state, rng stream): scratch contents
-// never influence the result, only allocation reuse.
-func (at *Attacher) SampleWith(scr *Scratch, g *san.SAN, u san.NodeID, rng *rand.Rand) san.NodeID {
-	return at.sampleWith(&scr.sample, g, u, rng, true)
-}
-
-// sampleWith implements Sample, SampleWith and the tests' naive
-// reference sampler: identical control flow and rng-draw discipline,
-// with fast selecting the O(log n) resolvers (false resolves each draw
-// by a linear cumulative scan) and scr holding the mixture sampler's
+// sampleWith implements Sample and the tests' naive reference
+// sampler: identical control flow and rng-draw discipline, with fast
+// selecting the O(log n) resolvers (false resolves each draw by a
+// linear cumulative scan) and scr holding the mixture sampler's
 // buffers.
 func (at *Attacher) sampleWith(scr *sampleScratch, g *san.SAN, u san.NodeID, rng *rand.Rand, fast bool) san.NodeID {
 	n := g.NumSocial()
@@ -276,41 +264,6 @@ func (at *Attacher) mixtureDraw(g *san.SAN, u san.NodeID, rng *rand.Rand, fast b
 		}
 	}
 	return at.fallbackScan(g, u, rng)
-}
-
-// SampleBatch draws k targets for source u, appended to dst.  It is
-// draw-for-draw equivalent to k sequential Sample calls — same results,
-// same rng stream — under the commuting condition: no node or edge may
-// be inserted between the draws (including by the caller consuming
-// earlier results), because Sample's candidate enumeration and weight
-// tables are functions of the network state at call time.  When the
-// condition holds, the enumeration provably commutes past the draws and
-// SampleBatch hoists it: the shared-candidate scan and prefix-sum build
-// (both rng-free) run once instead of k times, which is the dominant
-// cost for attribute-heavy sources.  Callers that insert the sampled
-// edges as they go (the simulator's wake loop) must keep calling Sample
-// per draw — their draw stream does not commute.
-func (at *Attacher) SampleBatch(g *san.SAN, u san.NodeID, rng *rand.Rand, k int, dst []san.NodeID) []san.NodeID {
-	if k <= 0 {
-		return dst
-	}
-	attrAware := at.Kind == AttachLAPA || at.Kind == AttachPAPA
-	hoistable := attrAware && !at.Heuristic && at.Beta != 0 &&
-		g.AttrDegree(u) != 0 && g.NumSocial() >= 2
-	if hoistable {
-		if shared, prefix, bonusTotal, baseTotal, ok := at.prepareMixture(at.scratch(), g, u); ok {
-			for i := 0; i < k; i++ {
-				dst = append(dst, at.mixtureDraw(g, u, rng, true, shared, prefix, bonusTotal, baseTotal))
-			}
-			return dst
-		}
-		// Enumeration over limit: the per-draw path falls back to the
-		// heuristic exactly as Sample does.
-	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, at.sampleWith(at.scratch(), g, u, rng, true))
-	}
-	return dst
 }
 
 // sharedCand is one attribute-sharing candidate.

@@ -36,13 +36,17 @@ import (
 // checkpoint (cmd/sangen stores it in the checkpoint's JSON header) and
 // must pass the identical one to ReadSimulator; resumed runs do not
 // replay trace events from before the checkpoint.
-// Version 2 adds the split scheduler's substream identity right after
-// the version byte: a mode flag and the derivation salt the per-event
-// substreams are minted from.  Both are derivable from the Config, but
-// carrying them makes mode drift fail loudly at resume time — a split
-// checkpoint resumed under the sequential discipline (or under a
-// different seed's salt) would silently produce a network from neither
-// stream.  Version 1 checkpoints (always sequential) still load.
+//
+// Version 2 added an rng-mode byte and a substream salt right after the
+// version byte, for a split-rng simulator mode that has since been
+// removed.  The writer always emits mode 0 and salt 0, so the layout
+// (and every sequential checkpoint written under it) is unchanged; the
+// reader rejects mode 1 with an error naming the removed mode.
+// Version 1 checkpoints, which lack both fields, still load.
+//
+// The reader trusts no count in the stream: slices grow as their
+// elements arrive (see room), so corrupt or truncated input fails with
+// an error instead of allocating whatever a length field claims.
 const (
 	stateMagic   = "GPCK"
 	stateVersion = 2
@@ -55,13 +59,8 @@ func (s *Simulator) WriteState(w io.Writer) error {
 	sw := &stateWriter{w: w}
 	sw.bytes([]byte(stateMagic))
 	sw.u8(stateVersion)
-	if s.Cfg.parallelDraws() {
-		sw.u8(1)
-		sw.uvarint(splitmix64(s.Cfg.Seed))
-	} else {
-		sw.u8(0)
-		sw.uvarint(0)
-	}
+	sw.u8(0)      // rng mode: sequential
+	sw.uvarint(0) // substream salt
 
 	rng, err := s.rngSrc.MarshalBinary()
 	if err != nil {
@@ -191,22 +190,19 @@ func ReadSimulator(cfg Config, r io.Reader, sc *Scratch) (*Simulator, error) {
 	if v >= 2 {
 		mode := sr.u8()
 		salt := sr.uvarint()
-		if sr.err == nil {
-			if (mode == 1) != cfg.parallelDraws() {
-				have := RngSeq
-				if mode == 1 {
-					have = RngSplit
-				}
-				return nil, fmt.Errorf("gplus: checkpoint was written in %s rng mode; resume with the same RngMode (config says %q)", have, cfg.RngMode)
-			}
-			if mode == 1 && salt != splitmix64(cfg.Seed) {
-				return nil, fmt.Errorf("gplus: checkpoint substream salt does not match the config seed (checkpoint/config drift)")
-			}
+		if sr.err == nil && mode == 1 {
+			return nil, fmt.Errorf("gplus: checkpoint was written in split rng mode, which has been removed; only sequential checkpoints resume")
+		}
+		if sr.err == nil && (mode != 0 || salt != 0) {
+			return nil, fmt.Errorf("gplus: corrupt checkpoint: rng mode %d, salt %d", mode, salt)
 		}
 	}
 
 	src := rand.NewPCG(0, 0)
 	rngLen := sr.length("rng state")
+	if sr.err == nil && rngLen > maxRngState {
+		return nil, fmt.Errorf("gplus: corrupt checkpoint: rng state of %d bytes", rngLen)
+	}
 	rngBytes := make([]byte, rngLen)
 	sr.bytes(rngBytes)
 	if sr.err == nil {
@@ -234,62 +230,27 @@ func ReadSimulator(cfg Config, r io.Reader, sc *Scratch) (*Simulator, error) {
 	s.now = sr.f64()
 
 	nu := sr.length("user count")
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	s.kinds = make([]UserKind, nu)
-	for i := range s.kinds {
-		s.kinds[i] = UserKind(sr.u8())
-	}
-	s.deaths = make([]float64, nu)
-	for i := range s.deaths {
-		s.deaths[i] = sr.f64()
-	}
-	s.lifeBoost = make([]float64, nu)
-	for i := range s.lifeBoost {
-		s.lifeBoost[i] = sr.f64()
-	}
-	s.baseOut = make([]int, nu)
-	for i := range s.baseOut {
-		s.baseOut[i] = sr.length("base outdegree")
-	}
-	s.declared = make([]bool, nu)
-	for i := range s.declared {
-		s.declared[i] = sr.u8() != 0
-	}
+	s.kinds = readN(sr, nu, func() UserKind { return UserKind(sr.u8()) })
+	s.deaths = readN(sr, nu, sr.f64)
+	s.lifeBoost = readN(sr, nu, sr.f64)
+	s.baseOut = readN(sr, nu, func() int { return sr.length("base outdegree") })
+	s.declared = readN(sr, nu, func() bool { return sr.u8() != 0 })
 
-	ne := sr.length("event count")
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	s.events = make(eventHeap, ne)
-	for i := range s.events {
-		s.events[i] = event{
-			t:    sr.f64(),
-			kind: eventKind(sr.u8()),
-			u:    san.NodeID(sr.varint()),
-			v:    san.NodeID(sr.varint()),
+	s.events = readN(sr, sr.length("event count"), func() event {
+		e := event{t: sr.f64(), kind: eventKind(sr.u8()), u: san.NodeID(sr.varint()), v: san.NodeID(sr.varint())}
+		if sr.err == nil && (e.kind > evRecip || !inRange(e.u, nu) || !inRange(e.v, nu)) {
+			sr.err = fmt.Errorf("gplus: corrupt checkpoint: event kind %d on users %d, %d of %d", e.kind, e.u, e.v, nu)
 		}
-	}
+		return e
+	})
 
 	ast := core.AttacherState{SumPow: sr.f64(), N: sr.length("attacher node count")}
-	nb := sr.length("attacher ballot length")
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	ast.Ballot = make([]san.NodeID, nb)
-	for i := range ast.Ballot {
-		ast.Ballot[i] = san.NodeID(sr.length("ballot entry"))
-	}
+	ast.Ballot = readN(sr, sr.length("attacher ballot length"), func() san.NodeID {
+		return sr.id("ballot entry", nu)
+	})
 	if sr.u8() != 0 {
 		ast.TreeN = sr.length("fenwick size")
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		ast.Tree = make([]float64, ast.TreeN+1)
-		for i := range ast.Tree {
-			ast.Tree[i] = sr.f64()
-		}
+		ast.Tree = readN(sr, ast.TreeN+1, sr.f64)
 	}
 	if sr.err != nil {
 		return nil, sr.err
@@ -301,14 +262,9 @@ func ReadSimulator(cfg Config, r io.Reader, sc *Scratch) (*Simulator, error) {
 	cat := &catalog{sim: s, boost: make(map[san.AttrID]float64, len(seedValues))}
 	cat.serial = sr.length("catalog serial")
 	for t := range cat.ballot {
-		bl := sr.length("catalog ballot length")
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		cat.ballot[t] = make([]san.AttrID, bl)
-		for i := range cat.ballot[t] {
-			cat.ballot[t][i] = san.AttrID(sr.length("catalog ballot entry"))
-		}
+		cat.ballot[t] = readN(sr, sr.length("catalog ballot length"), func() san.AttrID {
+			return san.AttrID(sr.length("catalog ballot entry"))
+		})
 	}
 	s.catalog = cat
 
@@ -316,44 +272,17 @@ func ReadSimulator(cfg Config, r io.Reader, sc *Scratch) (*Simulator, error) {
 	na := sr.length("attribute node count")
 	socialEdges := sr.length("social edge count")
 	attrEdges := sr.length("attribute edge count")
-	if sr.err != nil {
-		return nil, sr.err
-	}
 	st := san.State{
-		Out:       make([][]san.NodeID, n),
-		In:        make([][]san.NodeID, n),
-		Attr:      make([][]san.AttrID, n),
-		Members:   make([][]san.NodeID, na),
-		AttrNames: make([]string, na),
-		AttrTypes: make([]san.AttrType, na),
+		Out:     readLists[san.NodeID](sr, n, socialEdges, n, "out-adjacency"),
+		In:      readLists[san.NodeID](sr, n, socialEdges, n, "in-adjacency"),
+		Attr:    readLists[san.AttrID](sr, n, attrEdges, na, "attribute list"),
+		Members: readLists[san.NodeID](sr, na, attrEdges, n, "membership list"),
 	}
-	outFlat := make([]san.NodeID, socialEdges)
-	inFlat := make([]san.NodeID, socialEdges)
-	attrFlat := make([]san.AttrID, attrEdges)
-	memberFlat := make([]san.NodeID, attrEdges)
-	if !sr.readNodeLists(st.Out, outFlat, "out-adjacency") ||
-		!sr.readNodeLists(st.In, inFlat, "in-adjacency") {
-		return nil, sr.err
-	}
-	off := 0
-	for u := 0; u < n; u++ {
-		l := sr.length("attribute list")
-		if sr.err != nil || off+l > len(attrFlat) {
-			return nil, sr.overrun("attribute list")
-		}
-		dst := attrFlat[off : off+l : off+l]
-		off += l
-		for i := range dst {
-			dst[i] = san.AttrID(sr.length("attribute id"))
-		}
-		st.Attr[u] = dst
-	}
-	if !sr.readNodeLists(st.Members, memberFlat, "membership list") {
-		return nil, sr.err
-	}
-	for a := 0; a < na; a++ {
-		st.AttrNames[a] = sr.str()
-		st.AttrTypes[a] = san.AttrType(sr.u8())
+	st.AttrNames = make([]string, 0, min(na, preallocMax))
+	st.AttrTypes = make([]san.AttrType, 0, min(na, preallocMax))
+	for a := 0; a < na && sr.err == nil; a++ {
+		st.AttrNames = append(st.AttrNames, sr.str())
+		st.AttrTypes = append(st.AttrTypes, san.AttrType(sr.u8()))
 	}
 	if sr.err != nil {
 		return nil, sr.err
@@ -377,26 +306,72 @@ func ReadSimulator(cfg Config, r io.Reader, sc *Scratch) (*Simulator, error) {
 	return s, nil
 }
 
-// readNodeLists fills lists from the stream, carving each list out of
-// flat (full-capacity sub-slices, so a later append cannot clobber a
-// neighbor).  Returns false on error with sr.err set.
-func (sr *stateReader) readNodeLists(lists [][]san.NodeID, flat []san.NodeID, what string) bool {
-	off := 0
-	for u := range lists {
-		l := sr.length(what)
-		if sr.err != nil || off+l > len(flat) {
-			sr.overrun(what)
-			return false
-		}
-		dst := flat[off : off+l : off+l]
-		off += l
-		for i := range dst {
-			dst[i] = san.NodeID(sr.length(what + " id"))
-		}
-		lists[u] = dst
+// Reader bounds.  A marshaled PCG state is 20 bytes; attribute names
+// are short generated labels.  preallocMax is the most elements a slice
+// is given before any of them has been read.
+const (
+	maxRngState = 64
+	maxStrLen   = 1 << 16
+	preallocMax = 1 << 12
+)
+
+// room returns s with capacity for at least one more element, given
+// that the stream declared n elements in all (len(s) < n).  Capacity
+// starts at no more than preallocMax and doubles, never past n: a real
+// count ends at capacity exactly n, and a corrupt one fails at the end
+// of the input long before allocating what it claims.
+func room[T any](s []T, n int) []T {
+	if len(s) < cap(s) {
+		return s
 	}
-	return sr.err == nil
+	grown := make([]T, len(s), min(max(2*len(s), preallocMax), n))
+	copy(grown, s)
+	return grown
 }
+
+// readN reads n elements with read, stopping at the first stream error.
+func readN[T any](sr *stateReader, n int, read func() T) []T {
+	var out []T
+	for len(out) < n && sr.err == nil {
+		out = append(room(out, n), read())
+	}
+	return out
+}
+
+// readLists reads n adjacency lists holding total ids in all, each id
+// below bound.  One flat array backs every list, carved into
+// full-capacity sub-slices so a later append to one list cannot clobber
+// its neighbor.  It returns nil with sr.err set on error.
+func readLists[T san.NodeID | san.AttrID](sr *stateReader, n, total, bound int, what string) [][]T {
+	var flat []T
+	var ends []int
+	for len(ends) < n && sr.err == nil {
+		l := sr.length(what)
+		if sr.err == nil && l > total-len(flat) {
+			sr.err = fmt.Errorf("gplus: corrupt checkpoint: %s overruns its declared total", what)
+		}
+		for i := 0; i < l && sr.err == nil; i++ {
+			flat = append(room(flat, total), T(sr.id(what+" entry", bound)))
+		}
+		ends = append(room(ends, n), len(flat))
+	}
+	if sr.err == nil && len(flat) != total {
+		sr.err = fmt.Errorf("gplus: corrupt checkpoint: %s holds %d of its declared %d entries", what, len(flat), total)
+	}
+	if sr.err != nil {
+		return nil
+	}
+	lists := make([][]T, n)
+	start := 0
+	for u, end := range ends {
+		lists[u] = flat[start:end:end]
+		start = end
+	}
+	return lists
+}
+
+// inRange reports whether id indexes a table of n entries.
+func inRange(id san.NodeID, n int) bool { return id >= 0 && int(id) < n }
 
 // stateWriter is a sticky-error little-endian primitive writer.
 type stateWriter struct {
@@ -492,6 +467,9 @@ func (sr *stateReader) f64() float64 {
 
 func (sr *stateReader) str() string {
 	l := sr.length("string")
+	if sr.err == nil && l > maxStrLen {
+		sr.err = fmt.Errorf("gplus: corrupt checkpoint: string of %d bytes", l)
+	}
 	if sr.err != nil {
 		return ""
 	}
@@ -500,20 +478,24 @@ func (sr *stateReader) str() string {
 	return string(b)
 }
 
-// length reads a uvarint that must fit a non-negative int.
+// length reads a uvarint that must fit a non-negative int; it returns
+// 0 once the stream has failed.
 func (sr *stateReader) length(what string) int {
 	x := sr.uvarint()
 	if sr.err == nil && x > math.MaxInt/2 {
 		sr.err = fmt.Errorf("gplus: corrupt checkpoint: implausible %s (%d)", what, x)
 	}
+	if sr.err != nil {
+		return 0
+	}
 	return int(x)
 }
 
-// overrun records (and returns) a flat-buffer overrun error, keeping
-// any earlier stream error if one is already set.
-func (sr *stateReader) overrun(what string) error {
-	if sr.err == nil {
-		sr.err = fmt.Errorf("gplus: corrupt checkpoint: %s overruns its declared total", what)
+// id reads a uvarint that must index a table of bound entries.
+func (sr *stateReader) id(what string, bound int) san.NodeID {
+	x := sr.uvarint()
+	if sr.err == nil && x >= uint64(bound) {
+		sr.err = fmt.Errorf("gplus: corrupt checkpoint: %s %d out of range [0, %d)", what, x, bound)
 	}
-	return sr.err
+	return san.NodeID(x)
 }

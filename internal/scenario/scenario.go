@@ -222,13 +222,6 @@ func Digest(c gplus.Config) string {
 		wi(int64(t))
 		wf(c.FocalTypeWeight[san.AttrType(t)])
 	}
-	// RngMode entered the config after the digest format froze; the
-	// split discipline samples a different evolution, so it must digest
-	// differently, while "" and "seq" (identical behavior) keep the
-	// historical digest.
-	if c.RngMode == gplus.RngSplit {
-		h.Write([]byte(c.RngMode))
-	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
